@@ -67,6 +67,13 @@ The DP is vectorised in two passes.  A *symbolic* pass walks the event
 bits only, tracking for every error value an upper bound on its trailing
 propagate run; that discovers the full error support and compiles the
 scan into a short op list (segment matmuls + index-planned emissions).
+The pass itself runs on arrays: the error values and their run bounds
+are growable NumPy arrays, and each emission is one masked update plus a
+batched sorted lookup of its target errors.  Unseen errors are appended
+in the order the emission reaches them, so rows are numbered exactly as a
+one-row-at-a-time walk would number them.  Errors are ``int64`` while the
+schedule's summed ``|delta|`` stays below ``2**62`` and Python ints in an
+``object`` array beyond that, so wide layouts never wrap.
 Runs of event-free bits never need per-bit scanning: the ``(carry, run)``
 distribution after ``g`` homogeneous bits has a closed form (the run is
 geometric in the propagate probability, the carry chain is a two-state
@@ -496,24 +503,55 @@ def _compile_plan(
     # That is enough to know which rows an emission *can* move, so the
     # full support and every emission's index plan are known before any
     # probability mass is touched; rows whose bound is loose just move
-    # zero mass in the numeric replay.
-    errors: List[int] = [0]
-    index: Dict[int, int] = {0: 0}
-    maxrun: List[int] = [-1]
+    # zero mass in the numeric replay.  Errors and bounds are growable
+    # arrays whose first ``n`` rows are live, updated one whole emission
+    # at a time.
+    tbit_delta = {}
+    for bit in range(min(truncation, width)):
+        # Generate under the truncation: the OR'd result bit stays at one
+        # while the exact sum bit drops to zero, costing 2**bit.  HOERAA's
+        # top static bit is a half-adder sum instead of an OR, so its
+        # generate branch additionally drops the bit itself — the loss
+        # doubles to 2**(bit+1).
+        tbit_delta[bit] = 1 << (bit + 1 if static_kind == "hoeraa"
+                                and bit == truncation - 1 else bit)
+    # Every error is a sum of distinct deltas, so it is bounded by their
+    # total; past int64's reach the same code runs on Python ints.
+    reach = sum(abs(delta) for entries in schedule.values()
+                for _, delta in entries) + sum(tbit_delta.values())
+    errors = np.zeros(64, dtype=np.int64 if reach < 1 << 62 else object)
+    maxrun = np.full(64, -1, dtype=np.int64)
+    n = 1
     ops: List[Tuple] = []
 
-    def row(e: int) -> int:
-        r = index.get(e)
-        if r is None:
-            if len(errors) >= max_support:
+    def rows(values: np.ndarray) -> np.ndarray:
+        """Row of each (distinct) error value, appending unseen values.
+
+        New rows are numbered in ``values`` order, which keeps the row
+        order of a one-value-at-a-time walk.
+        """
+        nonlocal errors, maxrun, n
+        order = np.argsort(errors[:n])
+        known = errors[order]
+        at = np.minimum(np.searchsorted(known, values), n - 1)
+        dst = order[at]
+        new = np.flatnonzero(known[at] != values)
+        if len(new):
+            total = n + len(new)
+            if total > max_support:
                 raise AnalyticUnsupported(
                     f"error support exceeds {max_support} values; layout is "
                     "too irregular for the analytic backend")
-            r = len(errors)
-            index[e] = r
-            errors.append(e)
-            maxrun.append(-1)
-        return r
+            if total > len(errors):
+                size = max(2 * len(errors), total)
+                errors = np.concatenate(
+                    [errors[:n], np.zeros(size - n, dtype=errors.dtype)])
+                maxrun = np.concatenate(
+                    [maxrun[:n], np.full(size - n, -1, dtype=np.int64)])
+            errors[n:total] = values[new]
+            dst[new] = np.arange(n, total)
+            n = total
+        return dst
 
     def matrix(alpha: float, g: int, with_generate: bool = True) -> np.ndarray:
         return _cached_segment_matrix(n_states, cap, alpha, g, with_generate)
@@ -527,36 +565,39 @@ def _compile_plan(
                 j += 1
             g = j - i
             ops.append(("mat", matrix(bit_one[i], g)))
-            for r in range(len(maxrun)):
-                grown = maxrun[r] + g if maxrun[r] >= 0 else g - 1
-                maxrun[r] = min(cap, grown)
+            run = maxrun[:n]
+            run[:] = np.minimum(cap, np.where(run >= 0, run + g, g - 1))
             i = j
 
-    event_bits = sorted(set(schedule) | set(range(min(truncation, width))))
+    def emit(threshold: int, delta: int, keep_from: int,
+             lo: int, hi: int) -> None:
+        """Move state columns [lo, hi) of every row whose run can reach
+        ``threshold`` to ``error + delta``; runs >= ``keep_from`` stay."""
+        hot = np.flatnonzero(maxrun[:n] >= threshold)
+        if not len(hot):
+            return
+        peak = maxrun[hot]
+        maxrun[hot] = np.where(peak < keep_from, threshold - 1, peak)
+        dst = rows(errors[hot] + delta)
+        maxrun[dst] = np.maximum(maxrun[dst], np.minimum(peak, keep_from - 1))
+        ops.append(("emit", hot, dst, lo, hi))
+
+    event_bits = sorted(set(schedule) | set(tbit_delta))
     pos = 0
     for bit in event_bits:
-        if bit < truncation:
+        if bit in tbit_delta:
             if bit > pos:
                 advance_gap(pos, bit)
-            # Generate under the truncation: the OR'd result bit stays at
-            # one while the exact sum bit drops to zero, costing 2**bit.
-            # HOERAA's top static bit is a half-adder sum instead of an
-            # OR, so its generate branch additionally drops the bit
-            # itself — the loss doubles to 2**(bit+1).  Distinct errors
-            # shift to distinct errors, so the target rows are unique and
-            # a direct indexed add is safe.
-            delta = 1 << bit
-            if static_kind == "hoeraa" and bit == truncation - 1:
-                delta = 1 << (bit + 1)
+            # Distinct errors shift to distinct errors, so the target rows
+            # are unique and a direct indexed add is safe.
             alpha = bit_one[bit]
-            n0 = len(errors)
-            dst = [row(errors[r] - delta) for r in range(n0)]
+            n0 = n
+            dst = rows(errors[:n0] - tbit_delta[bit])
             ops.append(("tbit", matrix(alpha, 1, with_generate=False), n0,
-                        np.asarray(dst, dtype=np.intp), alpha * alpha))
-            for r in range(n0):
-                maxrun[r] = min(cap, maxrun[r] + 1) if maxrun[r] >= 0 else -1
-            for d in dst:
-                maxrun[d] = max(maxrun[d], 0)
+                        dst, alpha * alpha))
+            run = maxrun[:n0]
+            run[:] = np.where(run >= 0, np.minimum(cap, run + 1), -1)
+            maxrun[dst] = np.maximum(maxrun[dst], 0)
         else:
             # The bit's own transition is an ordinary segment bit: fold it
             # into the preceding gap so the pair plans as one matmul.
@@ -574,47 +615,19 @@ def _compile_plan(
                 t2, d2 = entries[j + 1]
                 if d2 == -delta and t2 <= threshold:
                     j += 2
-                    if t2 == threshold:
-                        continue  # empty range: the pair is a no-op
-                    n0 = len(errors)
-                    hot = [r for r in range(n0) if maxrun[r] >= t2]
-                    if not hot:
-                        continue
-                    pre = [maxrun[r] for r in hot]
-                    for r in hot:
-                        if maxrun[r] < threshold:
-                            maxrun[r] = t2 - 1
-                    dst = []
-                    for r, peak in zip(hot, pre):
-                        d = row(errors[r] + d2)
-                        maxrun[d] = max(maxrun[d], min(peak, threshold - 1))
-                        dst.append(d)
-                    ops.append(("emit", np.asarray(hot, dtype=np.intp),
-                                np.asarray(dst, dtype=np.intp),
-                                cap + 1 + t2, cap + 1 + threshold))
+                    if t2 < threshold:  # else the pair is a no-op
+                        emit(t2, d2, threshold, cap + 1 + t2,
+                             cap + 1 + threshold)
                     continue
             j += 1
-            n0 = len(errors)
-            hot = [r for r in range(n0) if maxrun[r] >= threshold]
-            if not hot:
-                continue
-            pre = [maxrun[r] for r in hot]
-            for r in hot:
-                maxrun[r] = threshold - 1  # -1 for threshold 0: block empty
-            dst = []
-            for r, peak in zip(hot, pre):
-                d = row(errors[r] + delta)
-                maxrun[d] = max(maxrun[d], peak)
-                dst.append(d)
-            ops.append(("emit", np.asarray(hot, dtype=np.intp),
-                        np.asarray(dst, dtype=np.intp),
-                        cap + 1 + threshold, n_states))
+            # -1 for threshold 0: the carry-1 block is certainly empty.
+            emit(threshold, delta, cap + 1, cap + 1 + threshold, n_states)
         pos = bit + 1
     # Segment matmuls are row-stochastic, so anything after the last
     # emission preserves every row's mass and cannot change the PMF.
     while ops and ops[-1][0] == "mat":
         ops.pop()
-    return (tuple(errors), tuple(ops), cap, n_states)
+    return (tuple(errors[:n].tolist()), tuple(ops), cap, n_states)
 
 
 def _execute_plan(
@@ -669,6 +682,7 @@ def adder_error_pmf(
     The symbolic plan depends only on the (immutable) layout and the bit
     profile, so it is memoised on the adder instance per profile; repeat
     evaluations of the same configuration pay only the numeric replay.
+    A support-cap verdict is memoised the same way and re-raised.
     """
     layout = analytic_layout(adder)
     if layout is None:
@@ -688,7 +702,15 @@ def adder_error_pmf(
     key = (profile, max_support)
     plan = plans.get(key)
     if plan is None:
-        plan = _compile_plan(width, tuple(windows), truncation, profile,
-                             max_support, static_kind, rectified)
+        try:
+            plan = _compile_plan(width, tuple(windows), truncation, profile,
+                                 max_support, static_kind, rectified)
+        except AnalyticUnsupported as exc:
+            # An over-cap verdict is as final as a plan: keep its message
+            # so repeat requests re-raise instead of recompiling.
+            plans[key] = str(exc)
+            raise
         plans[key] = plan
+    if isinstance(plan, str):
+        raise AnalyticUnsupported(plan)
     return _execute_plan(width, plan)
