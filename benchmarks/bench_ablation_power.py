@@ -16,6 +16,7 @@ from repro.adders import (
     RippleCarryAdder,
 )
 from repro.analysis.tables import format_table
+from repro.core.error_model import paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.rtl.power import characterize_power
 from repro.timing.fpga import characterize
@@ -37,7 +38,7 @@ def _run():
     for adder in adders:
         power = characterize_power(adder, samples=SAMPLES, seed=7)
         char = characterize(adder)
-        prob = adder.error_probability()
+        prob = paper_error_probability(adder)
         rows.append(
             {
                 "name": adder.name,

@@ -9,6 +9,7 @@ paper's configurability story lifted one operator up.
 import numpy as np
 
 from repro.analysis.tables import format_table
+from repro.core.error_model import paper_error_probability
 from repro.core.multiplier import make_exact_multiplier, make_gear_multiplier
 
 CONFIGS = [(2, 2), (2, 6), (4, 4), (4, 8), (4, 12), (8, 8)]
@@ -28,7 +29,7 @@ def _run():
         rows.append(
             {
                 "config": (r, p),
-                "adder_p_err": mul.adder.error_probability(),
+                "adder_p_err": paper_error_probability(mul.adder),
                 "mred": float(np.mean(err / np.maximum(a * b, 1))),
                 "error_rate": float(np.mean(err > 0)),
                 "max_ed": int(err.max()),

@@ -15,7 +15,7 @@ the true (exact-DP) error probability.
 """
 
 from repro.analysis.tables import format_table
-from repro.core.error_model import error_probability_exact
+from repro.core.error_model import error_probability_exact, paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.timing.pipeline import compare_with_model
 
@@ -33,7 +33,7 @@ def _run():
             "config": (r, p),
             "cmp": cmp,
             "strict": strict,
-            "p_model": adder.error_probability(),
+            "p_model": paper_error_probability(adder),
             "p_true": error_probability_exact(adder.config),
             "k": adder.config.k,
         })

@@ -12,6 +12,7 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.apps.images import natural_image
 from repro.apps.quality import psnr
+from repro.core.error_model import paper_error_probability
 from repro.core.multiplier import make_exact_multiplier, make_gear_multiplier
 
 
@@ -25,7 +26,7 @@ def quality_sweep() -> None:
         mul = make_gear_multiplier(8, r, p)
         err = np.abs(np.asarray(mul.multiply(a, b)) - a * b)
         rows.append(
-            (f"GeAr(16,{r},{p})", f"{mul.adder.error_probability():.5f}",
+            (f"GeAr(16,{r},{p})", f"{paper_error_probability(mul.adder):.5f}",
              f"{float(np.mean(err / np.maximum(a * b, 1))):.5f}",
              f"{float(np.mean(err > 0)):.4f}")
         )

@@ -13,6 +13,7 @@ Shows the detector/corrector on the Fig. 4 configuration GeAr(12,2,6):
 import numpy as np
 
 from repro import ErrorCorrector, GeArAdder, GeArConfig
+from repro.core.error_model import paper_error_probability
 from repro.analysis.tables import format_table
 from repro.timing.latency import correction_cycle_counts
 from repro.utils.distributions import UniformOperands
@@ -22,7 +23,7 @@ def main() -> None:
     adder = GeArAdder(GeArConfig(12, 2, 6))  # Fig. 4: k = 3 sub-adders
     k = adder.config.k
     print(adder.config.describe())
-    print(f"analytic error probability: {adder.error_probability():.6f}\n")
+    print(f"analytic error probability: {paper_error_probability(adder):.6f}\n")
 
     a, b = 0b111111111111, 0b000000000001  # worst case: carries everywhere
     print("worst-case operands: every sub-adder misses its carry")
@@ -62,7 +63,7 @@ def main() -> None:
     ))
 
     print("\npaper timing model (extra cycles per erroneous addition):")
-    p = adder.error_probability()
+    p = paper_error_probability(adder)
     for scenario, cycles in correction_cycle_counts(k).items():
         print(f"  {scenario:8s}: 1 + p·{cycles:g} = "
               f"{1 + p * cycles:.6f} cycles/addition on average")

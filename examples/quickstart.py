@@ -13,6 +13,7 @@ GeAr(12,2,6) from Fig. 4 — through the public API:
 import numpy as np
 
 from repro import ErrorCorrector, GeArAdder, GeArConfig, RippleCarryAdder
+from repro.core.error_model import paper_error_probability
 from repro.engine import EvalRequest, evaluate
 from repro.timing.fpga import characterize
 
@@ -25,7 +26,7 @@ def main() -> None:
     for adder in (fig3, fig4):
         cfg = adder.config
         print(f"{cfg.describe()}")
-        print(f"  analytic error probability: {adder.error_probability():.6f}")
+        print(f"  analytic error probability: {paper_error_probability(adder):.6f}")
 
     print("\n== A single addition ==")
     a, b = 0b000011111111, 0b000000000001  # long carry chain from bit 0
@@ -47,7 +48,7 @@ def main() -> None:
     print(f"measured over 10k uniform patterns: "
           f"{result.stats.error_rate:.4%}")
     print(f"analytic (Eq. 5-7):                 "
-          f"{fig3.error_probability():.4%}")
+          f"{paper_error_probability(fig3):.4%}")
 
     print("\n== Hardware characterisation ==")
     for adder in (fig3, fig4, RippleCarryAdder(12)):

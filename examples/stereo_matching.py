@@ -19,6 +19,7 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.apps.boxfilter import disparity_map
 from repro.apps.images import natural_image
+from repro.core.error_model import paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 
 TRUE_DISPARITY = 4
@@ -43,7 +44,7 @@ def main() -> None:
         acc = float(np.mean(disp[interior] == TRUE_DISPARITY))
         agree = float(np.mean(disp[interior] == exact[interior]))
         rows.append(
-            (f"GeAr(20,{r},{p})", f"{adder.error_probability():.5f}",
+            (f"GeAr(20,{r},{p})", f"{paper_error_probability(adder):.5f}",
              f"{acc:.1%}", f"{agree:.1%}")
         )
     print(format_table(

@@ -2,11 +2,12 @@
 
 Quickstart::
 
-    from repro import GeArAdder, ErrorCorrector
+    from repro import ErrorCorrector, GeArAdder, GeArConfig
+    from repro import paper_error_probability
 
-    adder = GeArAdder.from_params(n=12, r=4, p=4)   # Fig. 3 configuration
+    adder = GeArAdder(GeArConfig(12, 4, 4))         # Fig. 3 configuration
     adder.add(0b101010101010, 0b010101010101)       # approximate sum
-    adder.error_probability()                       # analytic, §3.2
+    paper_error_probability(adder)                  # analytic, §3.2
     ErrorCorrector(adder).add(4095, 1).value        # exact via §3.3 recovery
 
 Package map:
@@ -39,6 +40,7 @@ from repro.core import (
     accuracy_percentage,
     error_probability,
     error_probability_exact,
+    paper_error_probability,
 )
 
 __version__ = "1.0.0"
@@ -60,5 +62,6 @@ __all__ = [
     "accuracy_percentage",
     "error_probability",
     "error_probability_exact",
+    "paper_error_probability",
     "__version__",
 ]

@@ -1,9 +1,12 @@
 """Common interface for all adder models.
 
 The central abstraction is :class:`AdderModel`; approximate adders built
-from speculative sub-adder windows (GeAr, ACA-I/II, ETAII, GDA) additionally
-share :class:`WindowedSpeculativeAdder`, which implements the vectorised
-windowed addition once.
+from speculative sub-adder windows additionally share
+:class:`WindowedSpeculativeAdder`, which implements the vectorised
+windowed addition once.  Its one subclass is
+:class:`~repro.spec.model.SpecAdder`, the model of every plain speculative
+:class:`~repro.spec.ir.AdderSpec` — GeAr, ACA-I/II, ETAII(M) and GDA are
+all factories returning one.
 
 Conventions:
 
@@ -86,11 +89,11 @@ class AdderModel(abc.ABC):
         return False
 
     def error_probability(self) -> Optional[float]:
-        """Analytic probability of an erroneous sum for uniform operands.
+        """Exact probability of an erroneous sum for uniform operands.
 
         Returns ``None`` when no analytic model is available for this
-        architecture (the paper's model covers GeAr-expressible adders and,
-        by its §4.4 extension, GDA).
+        architecture (e.g. ETAI).  The paper's §3.2 value, where it
+        differs, is :func:`repro.core.error_model.paper_error_probability`.
         """
         return None
 
@@ -191,7 +194,7 @@ def validate_window_cover(windows: Sequence[SpeculativeWindow], width: int) -> N
 class WindowedSpeculativeAdder(AdderModel):
     """Adder built from parallel speculative sub-adder windows.
 
-    Subclasses provide the window list; this class implements the vectorised
+    The caller provides the window list; this class implements the vectorised
     sum, the per-window error-detection flags of §3.3, and the worst-case
     error distance.  The final carry out (bit ``width``) is the last
     window's local carry out — speculative, exactly like the hardware.
@@ -218,9 +221,8 @@ class WindowedSpeculativeAdder(AdderModel):
 
         Uses the first-principles DP over per-bit states
         (:func:`repro.core.error_model.error_probability_windows`), which
-        applies to *any* window layout — subclasses with a paper-model
-        mapping (GeAr, ACA, ETAII, GDA) override this with Eq. 5-7 to stay
-        on the paper's arithmetic.
+        applies to *any* window layout.  The paper's Eq. 5-7 value for a
+        GeAr point is :func:`repro.core.error_model.paper_error_probability`.
         """
         from repro.core.error_model import error_probability_windows
 

@@ -21,7 +21,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.error_model import paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
+from repro.spec.model import SpecAdder
 from repro.timing.fpga import characterize
 from repro.utils.validation import check_pos_int, check_prob
 
@@ -31,7 +33,7 @@ class Mode:
     """One rung of the accuracy ladder."""
 
     config: GeArConfig
-    adder: GeArAdder
+    adder: SpecAdder
     delay_ns: float
     error_probability: float
 
@@ -61,7 +63,7 @@ def build_mode_ladder(n: int, r: int, p_values: Sequence[int]) -> List[Mode]:
                 config=cfg,
                 adder=adder,
                 delay_ns=characterize(adder).delay_ns,
-                error_probability=adder.error_probability(),
+                error_probability=paper_error_probability(adder),
             )
         )
     modes.sort(key=lambda m: m.delay_ns)

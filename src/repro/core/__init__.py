@@ -1,9 +1,10 @@
 """The paper's contribution: the GeAr adder and its companion models.
 
 * :mod:`repro.core.gear` — the (N, R, P) configuration model of §3.1 and
-  the vectorised functional adder,
+  the ``GeArAdder`` factory over its spec model,
 * :mod:`repro.core.error_model` — the analytic error-probability model of
-  §3.2 (Eqs. 4–7) plus an exact dynamic-programming reference,
+  §3.2 (Eqs. 4–7), ``paper_error_probability`` for any adder, plus an
+  exact dynamic-programming reference,
 * :mod:`repro.core.correction` — the configurable error detection and
   correction scheme of §3.3, with cycle accounting,
 * :mod:`repro.core.configspace` — enumeration of valid configurations
@@ -19,6 +20,7 @@ from repro.core.error_model import (
     error_probability,
     error_probability_exact,
     accuracy_percentage,
+    paper_error_probability,
 )
 from repro.core.correction import CorrectionResult, ErrorCorrector
 from repro.core.configspace import (
@@ -49,6 +51,7 @@ __all__ = [
     "error_probability",
     "error_probability_exact",
     "accuracy_percentage",
+    "paper_error_probability",
     "CorrectionResult",
     "ErrorCorrector",
     "enumerate_configs",

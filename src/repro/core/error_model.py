@@ -44,12 +44,16 @@ functional simulation.
 
 All engines assume ρ[generate] = 1/4 and ρ[propagate] = 1/2 per bit
 (uniform operands), exactly as §3.2 does.
+
+Adder models report the exact rate of their windows from
+``error_probability()``; :func:`paper_error_probability` is the value the
+paper reports for an adder, engine 1 wherever the adder is a GeAr point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.gear import GeArConfig
 
@@ -160,6 +164,23 @@ def error_probability(config: GeArConfig) -> float:
     probability = 1.0 - total
     # Clamp away floating-point dust.
     return min(1.0, max(0.0, probability))
+
+
+def paper_error_probability(adder) -> Optional[float]:
+    """The error probability the paper reports for ``adder``.
+
+    Adders that are GeAr points — GeAr itself, ACA-I, ACA-II, ETAII and
+    GDA (§4.4) — carry their :class:`GeArConfig` as ``config`` and get the
+    §3.2 model, :func:`error_probability`.  Any other adder reports its
+    own ``error_probability()``: the exact rate of its window layout, or
+    ``None`` when it has no analytic model.  The two differ only on
+    partial configurations, where the model keeps the paper's nominal
+    full-R last window and is conservative.
+    """
+    config = getattr(adder, "config", None)
+    if isinstance(config, GeArConfig):
+        return error_probability(config)
+    return adder.error_probability()
 
 
 def error_probability_brute(config: GeArConfig, max_events: int = 22) -> float:

@@ -239,7 +239,7 @@ def analytic_layout(
     (empty for none).  Returns ``None`` when the adder's arithmetic is
     not fully described by a window layout — i.e. when it overrides
     ``_add_impl`` without exposing an :class:`~repro.spec.ir.AdderSpec`
-    (ETAI's segment OR, the standalone LOA class, or any custom model).
+    (ETAI's segment OR, or any custom model).
 
     Adders are immutable, so the answer is memoised on the instance —
     backend dispatch asks once to route the request and once to solve it.

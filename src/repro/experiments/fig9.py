@@ -20,7 +20,7 @@ from repro.adders import (
     RippleCarryAdder,
 )
 from repro.analysis.tables import format_table
-from repro.core.error_model import error_probability
+from repro.core.error_model import paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.experiments.result import GroupedExperimentResult
 from repro.paperdata import APPLICATIONS
@@ -75,7 +75,7 @@ def run_fig9(n_ops: int = FULL_HD_PIXELS) -> "GroupedExperimentResult":
         rows: List[Fig9Row] = []
         for name, adder in _adders_for(n, l):
             char = characterize(adder)
-            prob = adder.error_probability()
+            prob = paper_error_probability(adder)
             assert prob is not None, f"{name} lacks an analytic error model"
             k = len(adder.windows) if hasattr(adder, "windows") else 1
             rows.append(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.adders.gda import GracefullyDegradingAdder
+from repro.adders import GracefullyDegradingAdder
 from repro.analysis.tables import format_table
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.experiments.result import ExperimentResult

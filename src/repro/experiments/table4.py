@@ -25,7 +25,7 @@ from repro.adders import (
     RippleCarryAdder,
 )
 from repro.analysis.tables import format_table
-from repro.core.error_model import error_probability
+from repro.core.error_model import error_probability, paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.experiments.result import ExperimentResult
 from repro.paperdata import TABLE4_GEAR, TABLE4_OTHERS
@@ -99,7 +99,7 @@ def _baseline_rows(n_ops: int) -> List[Table4Row]:
         adder = make()
         ref = TABLE4_OTHERS[name]
         char = characterize(adder)
-        prob = adder.error_probability()
+        prob = paper_error_probability(adder)
         assert prob is not None
         k = len(adder.windows) if hasattr(adder, "windows") else 1
         rows.append(

@@ -36,8 +36,8 @@ def gear_spec(n: int, r: int, p: int, allow_partial: bool = False,
               arch: str = "rca", error_detect: bool = True,
               name: Optional[str] = None) -> AdderSpec:
     """GeAr(N, R, P) per §3.1 — fused windows, §3.3 ERR flags by default."""
-    # Lazy: adder classes import this module, and repro.core's package
-    # __init__ pulls the multiplier, which needs those classes.
+    # Lazy: the adder factories import this module, and repro.core's
+    # package __init__ pulls the multiplier, which needs the adders.
     from repro.core.gear import GeArConfig
 
     cfg = GeArConfig(n, r, p, allow_partial=allow_partial)

@@ -15,6 +15,15 @@ from repro.core.error_model import (
     mean_error_distance_paper_model,
     mean_error_distance_upper_bound,
     normalized_error_distance_analytic,
+    paper_error_probability,
+)
+from repro.adders import (
+    AlmostCorrectAdder,
+    ErrorTolerantAdderI,
+    ErrorTolerantAdderIIM,
+    GracefullyDegradingAdder,
+    LowerPartOrAdder,
+    RippleCarryAdder,
 )
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.metrics.exhaustive import exhaustive_error_probability, exhaustive_stats
@@ -197,3 +206,38 @@ class TestErrorDistanceModels:
 
     def test_ned_zero_for_exact(self):
         assert normalized_error_distance_analytic(GeArConfig(8, 4, 4)) == 0.0
+
+
+class TestPaperErrorProbability:
+    def test_gear_points_use_the_paper_model(self):
+        cfg = GeArConfig(20, 3, 7, allow_partial=True)
+        adder = GeArAdder(cfg)
+        assert paper_error_probability(adder) == error_probability(cfg)
+        # error_probability() is the exact rate of the actual windows,
+        # which the partial-mode paper model bounds from above.
+        assert adder.error_probability() == pytest.approx(
+            error_probability_exact(cfg), abs=1e-15)
+        assert adder.error_probability() < paper_error_probability(adder)
+
+    def test_aca1_and_gda_carry_their_gear_point(self):
+        aca1 = AlmostCorrectAdder(16, 4)
+        assert aca1.config == GeArConfig(16, 1, 3)
+        assert paper_error_probability(aca1) == error_probability(aca1.config)
+        gda = GracefullyDegradingAdder(20, 1, 9, enforce_multiple=False)
+        assert gda.config == GeArConfig(20, 1, 9)
+        partial = GracefullyDegradingAdder(20, 4, 6, enforce_multiple=False)
+        assert partial.config.allow_partial
+        assert paper_error_probability(partial) == error_probability(
+            GeArConfig(20, 4, 6, allow_partial=True))
+
+    @pytest.mark.parametrize("adder", [
+        ErrorTolerantAdderIIM(12, 4),
+        LowerPartOrAdder(8, 3),
+        RippleCarryAdder(8),
+    ], ids=["etaiim", "loa", "rca"])
+    def test_other_adders_report_their_own_value(self, adder):
+        assert not hasattr(adder, "config")
+        assert paper_error_probability(adder) == adder.error_probability()
+
+    def test_no_analytic_model_is_none(self):
+        assert paper_error_probability(ErrorTolerantAdderI(8, 4)) is None

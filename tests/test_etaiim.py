@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.adders.etaii import ErrorTolerantAdderII
-from repro.adders.etaiim import ErrorTolerantAdderIIM
+from repro.adders import ErrorTolerantAdderII
+from repro.adders import ErrorTolerantAdderIIM
 from tests.conftest import random_pairs
 
 

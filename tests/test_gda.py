@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adders.gda import GracefullyDegradingAdder
+from repro.adders import GracefullyDegradingAdder
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.metrics.exhaustive import exhaustive_stats
 from tests.conftest import random_pairs

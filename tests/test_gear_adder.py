@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.gear import GeArAdder, GeArConfig
+from repro.spec import gear_spec
+from repro.spec.model import SpecAdder
 from tests.conftest import random_pairs
 
 
@@ -75,15 +77,18 @@ class TestInvariants:
         assert adder.error_probability() == 0.0
 
     def test_partial_config_functional(self):
-        adder = GeArAdder.from_params(20, 3, 7, allow_partial=True)
+        adder = GeArAdder(GeArConfig(20, 3, 7, allow_partial=True))
         a, b = random_pairs(20, 5000, seed=7)
         approx = np.asarray(adder.add(a, b))
         assert np.all(approx <= a + b)
         assert np.mean(approx != a + b) < 0.05
 
-    def test_from_params_factory(self):
-        adder = GeArAdder.from_params(12, 4, 4)
+    def test_factory_returns_labelled_spec_model(self):
+        adder = GeArAdder(GeArConfig(12, 4, 4))
+        assert isinstance(adder, SpecAdder)
         assert adder.config == GeArConfig(12, 4, 4)
+        assert adder.name == "GeAr(N=12,R=4,P=4)"
+        assert adder.spec == gear_spec(12, 4, 4)
 
     def test_netlist_hook(self):
         nl = GeArAdder(GeArConfig(12, 4, 4)).build_netlist()

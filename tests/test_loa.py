@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.adders.loa import LowerPartOrAdder
+from repro.adders import LowerPartOrAdder
+from repro.spec.model import SpecAdder
 from tests.conftest import random_pairs
 
 
@@ -44,6 +45,26 @@ class TestLoa:
             adder = LowerPartOrAdder(10, bits)
             meds.append(float(np.mean(np.abs(np.asarray(adder.add(a, b)) - (a + b)))))
         assert meds == sorted(meds)
+
+    def test_zero_approx_is_an_exact_spec_adder(self):
+        adder = LowerPartOrAdder(8, 0)
+        assert type(adder) is SpecAdder
+        assert adder.is_exact
+        assert adder.error_probability() == 0.0
+        assert adder.mean_error_distance() == 0.0
+        assert adder.max_error_distance() == 0
+
+    @pytest.mark.parametrize("approx_bits", [0, 3])
+    def test_analytic_stats_match_exhaustive(self, approx_bits):
+        adder = LowerPartOrAdder(8, approx_bits)
+        grid = np.arange(256, dtype=np.int64)
+        a, b = np.repeat(grid, 256), np.tile(grid, 256)
+        ed = np.abs(np.asarray(adder.add(a, b)) - (a + b))
+        assert adder.error_probability() == pytest.approx(
+            float(np.mean(ed != 0)), abs=1e-12)
+        assert adder.mean_error_distance() == pytest.approx(
+            float(ed.mean()), abs=1e-12)
+        assert ed.max() <= adder.max_error_distance()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adders.gda import GracefullyDegradingAdder
-from repro.adders.loa import LowerPartOrAdder
+from repro.adders import GracefullyDegradingAdder
+from repro.adders import LowerPartOrAdder
 from repro.core.correction import ErrorCorrector
 from repro.core.error_model import (
     error_probability,

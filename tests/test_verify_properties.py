@@ -11,10 +11,10 @@ batches, and demands the two branches agree bit-for-bit on ``add``,
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.adders.aca1 import AlmostCorrectAdder
-from repro.adders.etaii import ErrorTolerantAdderII
-from repro.adders.etaiim import ErrorTolerantAdderIIM
-from repro.adders.gda import GracefullyDegradingAdder
+from repro.adders import AlmostCorrectAdder
+from repro.adders import ErrorTolerantAdderII
+from repro.adders import ErrorTolerantAdderIIM
+from repro.adders import GracefullyDegradingAdder
 from repro.core.gear import GeArAdder, GeArConfig
 
 

@@ -107,12 +107,12 @@ class TestFingerprintSafety:
                 )
 
     def test_same_family_different_config_differs(self):
-        # Window geometry must reach the fingerprint (base.py extends the
-        # default with the layout exactly for this).
-        from repro.core.gear import GeArAdder
+        # Window geometry must reach the fingerprint (the spec fingerprint
+        # spells out every window).
+        from repro.core.gear import GeArAdder, GeArConfig
 
-        fp1 = fingerprint_adder(GeArAdder.from_params(8, 2, 2))
-        fp2 = fingerprint_adder(GeArAdder.from_params(8, 2, 4))
+        fp1 = fingerprint_adder(GeArAdder(GeArConfig(8, 2, 2)))
+        fp2 = fingerprint_adder(GeArAdder(GeArConfig(8, 2, 4)))
         assert fp1 != fp2
 
     def test_width_reaches_the_fingerprint(self):
