@@ -1,11 +1,18 @@
 """Unit tests for sweeps, Pareto analysis and table rendering."""
 
+import math
+
 import pytest
 
-from repro.adders import GracefullyDegradingAdder, RippleCarryAdder
+from repro.adders import (
+    ErrorTolerantAdderII,
+    GracefullyDegradingAdder,
+    RippleCarryAdder,
+)
 from repro.analysis.pareto import dominates, pareto_front, select_config
 from repro.analysis.sweep import SweepResult, sweep_adder_family, sweep_gear_configs
 from repro.analysis.tables import Table, format_table
+from repro.core.error_model import paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 
 
@@ -38,6 +45,37 @@ class TestSweep:
         assert [r.name for r in rows] == [a.name for a in adders]
         assert rows[0].error_probability == 0.0
         assert rows[1].med > 0
+
+    def test_family_sweep_gda_matching_its_gear_point(self):
+        # GDA(8,2,2) adds exactly like GeAr(8,2,2): analytic columns, but
+        # k counts GDA's own four blocks.
+        gda = GracefullyDegradingAdder(8, 2, 2)
+        gear = GeArAdder(GeArConfig(8, 2, 2))
+        row, ref = sweep_adder_family([gda, gear], med_fn=lambda a: -1.0)
+        assert (row.r, row.p, row.k) == (2, 2, 4)
+        assert (ref.r, ref.p, ref.k) == (2, 2, 3)
+        assert row.med == ref.med > 0
+        assert row.ned == ref.ned
+        assert row.error_probability == ref.error_probability
+
+    def test_family_sweep_etaii_matching_its_gear_point(self):
+        etaii = ErrorTolerantAdderII(16, 8)
+        row, ref = sweep_adder_family(
+            [etaii, GeArAdder(GeArConfig(16, 4, 4))])
+        assert (row.r, row.p, row.k) == (4, 4, len(etaii.windows))
+        assert row.med == ref.med
+        assert row.error_probability == ref.error_probability
+
+    def test_family_sweep_gda_off_its_gear_layout(self):
+        # GDA(20,4,6)'s blocks are not GeAr(20,4,6)'s windows: MED comes
+        # from med_fn (NaN without one); the EP is still §4.4's model.
+        gda = GracefullyDegradingAdder(20, 4, 6, enforce_multiple=False)
+        row, = sweep_adder_family([gda], med_fn=lambda a: 7.0)
+        assert (row.r, row.p, row.k) == (0, 0, 1)
+        assert row.med == 7.0
+        assert row.error_probability == paper_error_probability(gda)
+        bare, = sweep_adder_family([gda])
+        assert math.isnan(bare.med) and math.isnan(bare.ned)
 
     def test_family_sweep_med_fallback(self):
         from repro.adders.etai import ErrorTolerantAdderI

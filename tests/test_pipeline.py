@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.adders import GracefullyDegradingAdder
+from repro.core.error_model import paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.timing.pipeline import ModelComparison, compare_with_model, simulate_pipeline
 from repro.utils.distributions import SparseOperands
@@ -79,6 +81,14 @@ class TestModelComparison:
         adder = GeArAdder(GeArConfig(16, 2, 2))
         cmp = compare_with_model(adder, operations=20_000, seed=9)
         assert cmp.predicted_best <= cmp.predicted_average <= cmp.predicted_worst
+
+    def test_gda_scenarios_use_its_block_count(self):
+        # GDA(8,2,2) has four blocks, one more than GeAr(8,2,2)'s k.
+        adder = GracefullyDegradingAdder(8, 2, 2)
+        cmp = compare_with_model(adder, operations=20_000, seed=10)
+        p_err = paper_error_probability(adder)
+        assert cmp.predicted_worst == pytest.approx(1.0 + 3 * p_err)
+        assert cmp.within_envelope, cmp
 
     def test_envelope_property(self):
         good = ModelComparison(1.05, 1.0, 1.1, 1.2)
