@@ -193,11 +193,14 @@ class CompiledBackend:
         if request.mode == "fixed":
             return ("fixed mode replays recorded output arrays; there is "
                     "no netlist to simulate")
-        from repro.rtl.compile import _netlist_of
+        from repro.rtl.compile import compiled_kernel
 
-        if _netlist_of(request.adder) is None:
-            return (f"adder {request.adder.name!r} has no gate-level "
-                    "netlist to compile")
+        # Compiling is the support check: the kernel is cached under the
+        # adder's fingerprint, so evaluate() and every shard reuse it.
+        try:
+            compiled_kernel(request.adder)
+        except ValueError as exc:
+            return str(exc)
         return None
 
     def evaluate(self, request: "EvalRequest",

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.adders.base import AdderModel
+from repro.utils.bitvec import mask
 
 
 def error_distances(adder: AdderModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -47,9 +48,9 @@ def accuracy_amplitude(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
 def accuracy_information(approx: np.ndarray, exact: np.ndarray, out_width: int) -> np.ndarray:
     """ACC_inf per result: fraction of matching output bit positions."""
     diff = np.asarray(approx, dtype=np.int64) ^ np.asarray(exact, dtype=np.int64)
-    wrong = np.zeros(diff.shape, dtype=np.int64)
-    for i in range(out_width):
-        wrong += (diff >> i) & 1
+    # Only the low ``out_width`` bits are output positions; counting them
+    # in the unsigned view keeps two's-complement bits of negative inputs.
+    wrong = np.bitwise_count(diff.view(np.uint64) & np.uint64(mask(out_width)))
     return 1.0 - wrong / float(out_width)
 
 

@@ -521,12 +521,6 @@ def kernel_key(source: object) -> str:
     return f"compiled/v{COMPILE_VERSION}:{fingerprint}"
 
 
-def _netlist_of(source: object) -> Optional[Netlist]:
-    build = getattr(source, "to_netlist", None) or getattr(
-        source, "build_netlist", None)
-    return build() if callable(build) else None
-
-
 def compiled_kernel(source: object) -> CompiledKernel:
     """The cached compiled kernel of an :class:`~repro.spec.ir.AdderSpec`
     or netlist-bearing :class:`~repro.adders.base.AdderModel`.
@@ -543,11 +537,13 @@ def compiled_kernel(source: object) -> CompiledKernel:
         obs.count("rtl.compile.cache_hits")
         return kernel
     obs.count("rtl.compile.cache_misses")
-    netlist = _netlist_of(source)
+    build = getattr(source, "to_netlist", None) or getattr(
+        source, "build_netlist", None)
+    netlist = build() if callable(build) else None
     if netlist is None:
         raise ValueError(
-            f"{getattr(source, 'name', type(source).__name__)!r} has no "
-            "gate-level netlist to compile")
+            f"adder {getattr(source, 'name', type(source).__name__)!r} has "
+            "no gate-level netlist to compile")
     kernel = compile_netlist(netlist, key=key)
     _KERNEL_CACHE[key] = kernel
     return kernel
@@ -579,10 +575,7 @@ class CompiledAdder:
     """
 
     def __init__(self, model: object) -> None:
-        if _netlist_of(model) is None:
-            raise ValueError(
-                f"adder {getattr(model, 'name', '?')!r} has no gate-level "
-                "netlist model")
+        compiled_kernel(model)  # ValueError when there is no netlist
         self.model = model
         self.width = model.width
         self.name = model.name

@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
+from repro import obs
 from repro.adders.base import SpeculativeWindow, validate_window_cover
 from repro.utils.validation import check_pos_int
 
@@ -616,17 +617,19 @@ class AdderSpec:
         from repro.spec.model import (RectifiedSpecAdder, SpecAdder,
                                       StaticSpecAdder)
 
-        if self.rectify is not None:
-            return RectifiedSpecAdder(self)
-        if self.truncation or self.static_window is not None:
-            return StaticSpecAdder(self)
-        return SpecAdder(self)
+        with obs.span("spec.to_model"):
+            if self.rectify is not None:
+                return RectifiedSpecAdder(self)
+            if self.truncation or self.static_window is not None:
+                return StaticSpecAdder(self)
+            return SpecAdder(self)
 
     def to_netlist(self):
         """Gate-level :class:`~repro.rtl.netlist.Netlist` of this spec."""
         from repro.rtl.builders import build_spec
 
-        return build_spec(self)
+        with obs.span("spec.to_netlist"):
+            return build_spec(self)
 
     def to_error_terms(self) -> ErrorTerms:
         """Analytic EP/MED/max-ED terms over the window geometry."""

@@ -35,7 +35,8 @@ class OperandDistribution(abc.ABC):
         rng = np.random.default_rng(seed)
         a, b = self.sample(count, rng)
         limit = mask(self.width)
-        if a.max(initial=0) > limit or b.max(initial=0) > limit:
+        if (a.max(initial=0) > limit or b.max(initial=0) > limit
+                or a.min(initial=0) < 0 or b.min(initial=0) < 0):
             raise AssertionError("distribution produced out-of-range operands")
         return a, b
 
@@ -140,6 +141,10 @@ class SparseOperands(OperandDistribution):
     ``one_density=0.5`` is equivalent to :class:`UniformOperands`; lower
     densities model sparse data where carries are rare, higher densities
     model near-saturated data where long carry chains abound.
+
+    :meth:`sample` draws at most 62-bit operands; construction and
+    :meth:`bit_probabilities` hold at any width, so the analytic backend
+    can still serve wider requests without sampling.
     """
 
     def __init__(self, width: int, one_density: float = 0.5) -> None:
@@ -149,10 +154,20 @@ class SparseOperands(OperandDistribution):
         self.one_density = one_density
 
     def sample(self, count: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        if self.width > 62:
+            raise ValueError(
+                "SparseOperands samples at most 62-bit operands (their sums "
+                f"must fit int64), got width {self.width}")
+        nbytes = (self.width + 7) // 8
+
         def draw() -> np.ndarray:
             bits = rng.random(size=(count, self.width)) < self.one_density
-            weights = (1 << np.arange(self.width, dtype=np.int64))[None, :]
-            return (bits * weights).sum(axis=1).astype(np.int64)
+            # Bit i of the operand is bit i % 8 of byte i // 8: packed
+            # little-endian into zero-padded 8-byte rows, each row *is* the
+            # int64 operand.
+            packed = np.zeros((count, 8), dtype=np.uint8)
+            packed[:, :nbytes] = np.packbits(bits, axis=1, bitorder="little")
+            return packed.view("<i8").ravel()
 
         return draw(), draw()
 
