@@ -24,8 +24,10 @@ NumPy code over packed ``uint64`` words instead:
   0|1}``: after the net's level executes, its slot is overwritten with an
   all-zeros/all-ones word.  This is exactly the stuck-at semantics of
   :func:`repro.rtl.faults.inject_fault` (the defective gate's cone stays
-  intact; every consumer reads the constant), so a whole fault campaign
-  runs off a *single* compiled kernel at word-level speed.
+  intact; every consumer reads the constant).
+  :meth:`CompiledKernel.run_packed_batch` forces a different net set in
+  each *row* of a ``(rows, nwords)`` lane array, so a whole batch of
+  faults costs a single kernel replay.
 
 The kernel is wired into the rest of the stack as
 
@@ -33,15 +35,15 @@ The kernel is wired into the rest of the stack as
   (:mod:`repro.engine.backends`; ``EvalRequest(backend="compiled")``),
 * the sixth conformance oracle (``gear verify --layer compiled``:
   compiled vs interpreted simulation, exact bit-equality),
-* the fast path of :func:`repro.rtl.faults.fault_simulation`
-  (``simulator="compiled"``).
+* the default, fault-parallel simulator of
+  :func:`repro.rtl.faults.fault_simulation` (``simulator="compiled"``).
 
 See ``docs/compile.md`` for the layout diagrams and measured throughput.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -276,16 +278,40 @@ class CompiledKernel:
         """Number of logic levels (compiled functions)."""
         return len(self._levels)
 
-    def _force_plan(self, force: Mapping[str, int]
-                    ) -> Dict[int, List[Tuple[int, int]]]:
-        plan: Dict[int, List[Tuple[int, int]]] = {}
-        for net, stuck_at in force.items():
-            if net not in self._force_points:
-                raise KeyError(f"no net {net!r} in compiled netlist")
-            if stuck_at not in (0, 1):
-                raise ValueError(f"stuck_at must be 0 or 1, got {stuck_at}")
-            level, slot = self._force_points[net]
-            plan.setdefault(level, []).append((slot, stuck_at))
+    def _force_plan(self, rows: Sequence[Mapping[str, int]]
+                    ) -> Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]]:
+        """Per level, the ``(slot, keep, set)`` overwrites forcing ``rows``.
+
+        Row ``r`` of the lane arrays carries the stuck-at nets of
+        ``rows[r]``: after a forced net's level runs, its slot becomes
+        ``(v[slot] & keep) | set`` with ``keep``/``set`` one word per row
+        (all-zeros/all-ones where that row forces the net, identity
+        elsewhere).  The columns are ``(rows, 1)`` so a ``(nwords,)`` slot
+        broadcasts to ``(rows, nwords)`` — and so does everything
+        downstream of it.  A single row has no row axis: its ``(1,)``
+        columns leave slot shapes as they are.
+        """
+        shape = (len(rows), 1) if len(rows) > 1 else (1,)
+        columns: Dict[int, Tuple[int, np.ndarray, np.ndarray]] = {}
+        for row, force in enumerate(rows):
+            for net, stuck_at in force.items():
+                if net not in self._force_points:
+                    raise KeyError(f"no net {net!r} in compiled netlist")
+                if stuck_at not in (0, 1):
+                    raise ValueError(
+                        f"stuck_at must be 0 or 1, got {stuck_at}")
+                level, slot = self._force_points[net]
+                if slot not in columns:
+                    columns[slot] = (level,
+                                     np.full(shape, ~np.uint64(0),
+                                             dtype=np.uint64),
+                                     np.zeros(shape, dtype=np.uint64))
+                _, keep, value = columns[slot]
+                keep[row] = 0
+                value[row] = ~np.uint64(0) if stuck_at else 0
+        plan: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
+        for slot, (level, keep, value) in columns.items():
+            plan.setdefault(level, []).append((slot, keep, value))
         return plan
 
     def run(self, stimulus: Stimulus,
@@ -336,7 +362,7 @@ class CompiledKernel:
                 for bus, width in self.input_buses.items():
                     packed[bus] = _pack_words(flats[bus])[:width]
 
-            v = self._evaluate(packed, count, force)
+            v = self._evaluate(packed, count, [force] if force else ())
 
             if self._out_offsets is not None:
                 nwords = max(1, -(-count // WORD_BITS))
@@ -371,6 +397,34 @@ class CompiledKernel:
         repeated sweeps pay for packing once and reuse it across every
         kernel invocation.
         """
+        inputs, nwords = self._packed_inputs(packed)
+        v = self._evaluate(inputs, nwords * WORD_BITS,
+                           [force] if force else ())
+        return {bus: np.stack([v[slot] for slot in slots])
+                for bus, slots in self.output_buses.items()}
+
+    def run_packed_batch(self, packed: Mapping[str, np.ndarray],
+                         force_rows: Sequence[Mapping[str, int]]
+                         ) -> Dict[str, np.ndarray]:
+        """One packed replay forcing a different net set in every row.
+
+        Row ``r`` evaluates ``packed`` with ``force_rows[r]`` tied to its
+        stuck-at constants — the result of ``run_packed(packed,
+        force=force_rows[r])`` — but the whole batch runs the kernel
+        once.  Each output bus comes back as a ``(width, rows, nwords)``
+        lane array.  Memory grows with ``rows * nwords`` per forced-cone
+        slot, so callers bound the batch.
+        """
+        inputs, nwords = self._packed_inputs(packed)
+        v = self._evaluate(inputs, nwords * WORD_BITS, force_rows)
+        shape = (len(force_rows), nwords)
+        return {bus: np.stack([np.broadcast_to(v[slot], shape)
+                               for slot in slots])
+                for bus, slots in self.output_buses.items()}
+
+    def _packed_inputs(self, packed: Mapping[str, np.ndarray]
+                       ) -> Tuple[Dict[str, np.ndarray], int]:
+        """Validated ``(width, nwords)`` input lane matrices and ``nwords``."""
         missing = set(self.input_buses) - set(packed)
         if missing:
             raise KeyError(f"packed stimulus missing input buses: "
@@ -388,15 +442,16 @@ class CompiledKernel:
             elif mat.shape[1] != nwords:
                 raise ValueError("packed input buses disagree on word count")
             rows[bus] = mat
-        count = (nwords or 1) * WORD_BITS
-        v = self._evaluate(rows, count, force)
-        return {bus: np.stack([v[slot] for slot in slots])
-                for bus, slots in self.output_buses.items()}
+        return rows, nwords or 1
 
     def _evaluate(self, packed: Mapping[str, np.ndarray], count: int,
-                  force: Optional[Mapping[str, int]]
+                  force_rows: Sequence[Mapping[str, int]]
                   ) -> List[Optional[np.ndarray]]:
-        """Fill the slot array from packed inputs and run every level."""
+        """Fill the slot array from packed inputs and run every level.
+
+        ``force_rows`` holds one stuck-at mapping per lane row (see
+        :meth:`_force_plan`); empty means one unforced row.
+        """
         nwords = max(1, -(-count // WORD_BITS))
         v: List[Optional[np.ndarray]] = [None] * self._n_slots
         zeros = np.zeros(nwords, dtype=np.uint64)
@@ -407,18 +462,21 @@ class CompiledKernel:
             for i, slot in enumerate(self._input_slots[bus]):
                 v[slot] = mat[i]
 
-        plan = self._force_plan(force) if force else {}
-        for slot, value in plan.get(0, ()):
-            v[slot] = ones if value else zeros
+        plan = self._force_plan(force_rows) if force_rows else {}
+        for slot, keep, value in plan.get(0, ()):
+            v[slot] = (v[slot] & keep) | value
         for level, fn in enumerate(self._levels, start=1):
             fn(v)
-            for slot, value in plan.get(level, ()):
-                v[slot] = ones if value else zeros
+            for slot, keep, value in plan.get(level, ()):
+                v[slot] = (v[slot] & keep) | value
 
         if obs.enabled():
+            rows = max(1, len(force_rows))
             obs.count("rtl.compile.runs")
-            obs.count("rtl.compile.gate_evals", self.gate_count * count)
-            obs.count("rtl.compile.word_ops", self.gate_count * nwords)
+            obs.count("rtl.compile.gate_evals",
+                      self.gate_count * rows * count)
+            obs.count("rtl.compile.word_ops",
+                      self.gate_count * rows * nwords)
         return v
 
     def run_bus(self, stimulus: Stimulus, bus: str,

@@ -23,10 +23,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
 from repro.rtl.sim import simulate
 from repro.utils.validation import check_pos_int
+
+#: Widest input bus the seeded stimulus draw supports: each bus samples
+#: ``rng.integers(0, 1 << width)`` into int64, whose bound ends at 2**63.
+MAX_INPUT_BITS = 63
+
+#: Lane words per batched slot array in the compiled sweep.  Each fault
+#: is one ``nwords``-word row, so a replay carries ``_BATCH_WORDS //
+#: nwords`` faults (at least one); this keeps a batch's slot arrays at
+#: about 4 KiB each whatever the vector count.
+_BATCH_WORDS = 512
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,6 @@ def inject_fault(netlist: Netlist, fault: Fault) -> Netlist:
     for bus, width in netlist.input_buses.items():
         faulty.add_input_bus(bus, width)
 
-    fault_is_input = netlist.gates[fault.net].op is Op.INPUT
     # The substitute net every downstream reference of fault.net sees.
     sa_net = f"__sa_{fault.stuck_at}"
     if sa_net not in faulty.gates:
@@ -90,9 +100,6 @@ def inject_fault(netlist: Netlist, fault: Fault) -> Netlist:
             continue
         faulty.add_gate(gate.op, tuple(mapped(n) for n in gate.inputs),
                         output=gate.output, group=gate.group)
-    if fault_is_input:
-        # Nothing to rename: the input gate exists; consumers were mapped.
-        pass
 
     for bus, nets in netlist.output_buses.items():
         faulty.set_output_bus(bus, [mapped(net) for net in nets])
@@ -136,7 +143,7 @@ def fault_simulation(
     vectors: int = 256,
     seed: int = 7,
     faults: Optional[Sequence[Fault]] = None,
-    simulator: str = "interpreted",
+    simulator: str = "compiled",
 ) -> FaultReport:
     """Simulate every fault against seeded random vectors.
 
@@ -144,30 +151,44 @@ def fault_simulation(
     golden netlist on some vector, and as *ERR-flagged* when the ``ERR``
     bus (if present) differs — i.e. the §3.3 detector reacts to the defect.
 
-    ``simulator`` selects the evaluation machinery: ``"interpreted"``
-    rebuilds and re-simulates a faulty netlist per fault via
-    :func:`inject_fault`; ``"compiled"`` packs the vectors once, compiles
-    one bit-sliced kernel (:mod:`repro.rtl.compile`) and replays it with
-    per-fault stuck-at forcing, comparing outputs in the packed domain.
-    Both produce the same report for the same arguments
-    (``tests/test_compile_faults.py`` pins that parity).
+    ``simulator`` selects the evaluation machinery: ``"compiled"`` (the
+    default) packs the vectors once, compiles one bit-sliced kernel
+    (:mod:`repro.rtl.compile`) and replays it once per batch of faults,
+    each fault forcing its own lane row, comparing outputs in the packed
+    domain; ``"interpreted"`` rebuilds and re-simulates a faulty netlist
+    per fault via :func:`inject_fault` and is the reference the compiled
+    sweep is tested against.  Both produce the same report for the same
+    arguments (``tests/test_compile_faults.py`` pins that parity).
+
+    Input buses wider than :data:`MAX_INPUT_BITS` are rejected with a
+    :class:`ValueError`.
     """
     check_pos_int("vectors", vectors)
     if simulator not in ("interpreted", "compiled"):
         raise ValueError(
             f"simulator must be 'interpreted' or 'compiled', got {simulator!r}")
-    rng = np.random.default_rng(seed)
-    stimulus = {
-        bus: rng.integers(0, 1 << width, size=vectors, dtype=np.int64)
-        for bus, width in netlist.input_buses.items()
-    }
-    fault_list = list(faults) if faults is not None else enumerate_faults(netlist)
+    too_wide = {bus: width for bus, width in netlist.input_buses.items()
+                if width > MAX_INPUT_BITS}
+    if too_wide:
+        raise ValueError(
+            f"fault simulation draws input buses of at most "
+            f"{MAX_INPUT_BITS} bits; too wide: {too_wide}")
+    with obs.span("rtl.faults.simulate"):
+        rng = np.random.default_rng(seed)
+        stimulus = {
+            bus: rng.integers(0, 1 << width, size=vectors, dtype=np.int64)
+            for bus, width in netlist.input_buses.items()
+        }
+        fault_list = (list(faults) if faults is not None
+                      else enumerate_faults(netlist))
+        obs.count("rtl.faults.faults", len(fault_list))
 
-    if simulator == "compiled":
-        fault_hits = _compiled_fault_sweep(netlist, stimulus, vectors,
-                                           fault_list)
-    else:
-        fault_hits = _interpreted_fault_sweep(netlist, stimulus, fault_list)
+        if simulator == "compiled":
+            fault_hits = _compiled_fault_sweep(netlist, stimulus, vectors,
+                                               fault_list)
+        else:
+            fault_hits = _interpreted_fault_sweep(netlist, stimulus,
+                                                  fault_list)
 
     detected = 0
     flagged = 0
@@ -211,12 +232,16 @@ def _compiled_fault_sweep(
     netlist: Netlist, stimulus: Dict[str, np.ndarray], vectors: int,
     fault_list: Sequence[Fault],
 ) -> List[Tuple[bool, bool]]:
-    """(differs, ERR differs) per fault via one kernel with stuck-at forcing.
+    """(differs, ERR differs) per fault via fault-parallel kernel replays.
 
     The whole campaign shares a single compiled kernel and a single packed
-    copy of the vectors; each fault is one forced replay plus a masked
-    word-level XOR (padding lanes beyond ``vectors`` are excluded — a
-    forced net can flip them even when every real vector agrees).
+    copy of the vectors.  Faults go through in batches: fault ``r`` of a
+    batch forces its net in lane row ``r``
+    (:meth:`~repro.rtl.compile.CompiledKernel.run_packed_batch`), so one
+    replay simulates the batch, and a masked XOR against the golden
+    ``(width, 1, nwords)`` lanes reduces each row to its verdict (padding
+    lanes beyond ``vectors`` are excluded — a forced net can flip them
+    even when every real vector agrees).
     """
     from repro.rtl.compile import compile_netlist, lane_mask, pack_operands
 
@@ -225,20 +250,22 @@ def _compiled_fault_sweep(
         bus: pack_operands(stimulus[bus], width)
         for bus, width in netlist.input_buses.items()
     }
-    golden = kernel.run_packed(packed)
-    nwords = next(iter(golden.values())).shape[1]
+    golden = {bus: lanes[:, None]
+              for bus, lanes in kernel.run_packed(packed).items()}
+    nwords = next(iter(golden.values())).shape[2]
     mask = lane_mask(vectors, nwords)
+    batch = max(1, _BATCH_WORDS // nwords)
 
     hits: List[Tuple[bool, bool]] = []
-    for fault in fault_list:
-        outputs = kernel.run_packed(packed,
-                                    force={fault.net: fault.stuck_at})
-        differs = any(
-            bool(np.any((outputs[bus] ^ golden[bus]) & mask))
-            for bus in golden
-        )
-        err_differs = bool(
-            differs and "ERR" in golden
-            and np.any((outputs["ERR"] ^ golden["ERR"]) & mask))
-        hits.append((differs, err_differs))
+    for start in range(0, len(fault_list), batch):
+        rows = [{fault.net: fault.stuck_at}
+                for fault in fault_list[start:start + batch]]
+        outputs = kernel.run_packed_batch(packed, rows)
+        bus_differs = {
+            bus: np.any((lanes ^ golden[bus]) & mask, axis=(0, 2))
+            for bus, lanes in outputs.items()
+        }
+        differs = np.logical_or.reduce(list(bus_differs.values()))
+        err_differs = differs & bus_differs.get("ERR", False)
+        hits.extend(zip(differs.tolist(), err_differs.tolist()))
     return hits
