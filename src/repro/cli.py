@@ -632,37 +632,31 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro import obs
     from repro.engine.cache import ShardCache
 
     cache = ShardCache(args.dir)
     if args.cache_command == "clear":
         removed = cache.clear()
-        print(f"{args.dir}: removed {removed} cached shard(s)")
+        print(f"{args.dir}: removed {removed} cached record(s)")
         return 0
 
-    # stats: load every entry through the instrumented path, so the obs
-    # counters report validity (hit = parseable, miss = corrupt) and the
-    # bytes actually read, exactly as an engine run would see them.
-    with obs.collecting() as collector:
-        for digest in cache.digests():
-            cache.load(digest)
-    frame = collector.snapshot()
-    counters = frame.counters
-    entries, total_bytes = cache.disk_usage()
+    # stats: verify every file as a record (its embedded key hashes to
+    # its file name), whichever backend wrote it; read-only, so a
+    # corrupt record is reported here and quarantined by the next load.
+    digests = list(cache.digests())
+    valid = sum(1 for digest in digests if cache.verify(digest))
     payload = {
         "dir": str(args.dir),
-        "entries": entries,
-        "bytes": total_bytes,
-        "valid": counters.get("engine.cache.hit", 0),
-        "corrupt": counters.get("engine.cache.miss", 0),
-        "bytes_read": counters.get("engine.cache.bytes_read", 0),
+        "entries": len(digests),
+        "bytes": cache.disk_usage()[1],
+        "valid": valid,
+        "corrupt": len(digests) - valid,
     }
     code = 0 if payload["corrupt"] == 0 else 1
     if args.json:
         _print_json(payload)
         return code
-    print(f"shard cache {payload['dir']}")
+    print(f"record cache {payload['dir']}")
     print(f"  entries     : {payload['entries']}")
     print(f"  total bytes : {payload['bytes']}")
     print(f"  valid       : {payload['valid']}")
@@ -964,14 +958,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser(
         "cache",
-        help="shard-cache maintenance (stats / clear)",
-        description="Inspect or empty the engine's on-disk shard cache.  "
-        "'stats' re-reads every entry through the instrumented cache path "
-        "and reports validity and size from the obs counters.",
+        help="engine cache maintenance (stats / clear)",
+        description="Inspect or empty the engine's on-disk record cache.  "
+        "'stats' verifies every record (its embedded key must hash to its "
+        "file name) and reports validity and size; it exits 1 if any "
+        "record is corrupt.",
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     for action, help_text in [("stats", "entry count, bytes and validity"),
-                              ("clear", "remove every cached shard")]:
+                              ("clear", "remove every cached record")]:
         action_parser = cache_sub.add_parser(action, help=help_text)
         action_parser.add_argument("--dir", default=DEFAULT_CACHE_DIR,
                                    help=f"cache directory "

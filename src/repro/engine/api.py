@@ -246,7 +246,10 @@ class EvalResult:
 
 def request_key_material(request: EvalRequest,
                          backend: str = "sampling") -> dict:
-    """The request-level half of a shard cache key (JSON-safe dict).
+    """The seed-free identity of a request under a backend (JSON-safe dict).
+
+    It is the analytic backend's cache key as is; the sharded backends add
+    the shard granularity and root seed entropy (:mod:`repro.engine.cache`).
 
     ``backend`` is the *resolved* backend name (an ``auto`` request keys
     under whichever backend actually answers it), so analytic PMFs and
@@ -285,8 +288,8 @@ def request_digest(request: EvalRequest,
                    backend: str = "sampling") -> Optional[str]:
     """Full result identity of a request under a *resolved* backend.
 
-    Unlike the shard-level cache keys this folds the root seed in as
-    well, so two requests share a digest iff the engine is guaranteed to
+    Like the sharded backends' cache keys this folds the root seed in,
+    so two requests share a digest iff the engine is guaranteed to
     merge them to the same :class:`EvalResult` statistics — the
     coalescing key of the :mod:`repro.serve` daemon.  Returns None when
     the request has no stable identity (``monte_carlo`` with a None seed

@@ -93,11 +93,11 @@ class SamplingBackend:
 class AnalyticBackend:
     """Exact error-PMF evaluation for block-based adders.
 
-    The PMF itself is cached as a single entry under the request's
-    backend-qualified digest (see
+    The PMF itself is cached as one record keyed on the request's
+    backend-qualified material (see
     :func:`repro.engine.api.request_key_material`), so a warm cache
     answers repeat analytic requests without re-running the DP — and can
-    never be confused with sampled shard partials.
+    never be confused with sampled records.
     """
 
     name = "analytic"
@@ -125,29 +125,19 @@ class AnalyticBackend:
         reason = self.why_unsupported(request)
         if reason is not None:
             raise AnalyticUnsupported(reason)
-        cacheable = engine.cache is not None and engine._cacheable(request)
-        digest = None
+        cacheable = engine._cacheable(request)
         pmf: Optional[ErrorPMF] = None
-        cached = False
         if cacheable:
-            material = api.request_key_material(request, backend=self.name)
-            digest = api.key_digest(material)
-            payload = engine.cache.load_payload(digest)
-            if (payload is not None
-                    and payload.get("analytic_v") == ANALYTIC_VERSION):
-                try:
-                    pmf = ErrorPMF.from_dict(payload["pmf"])
-                    cached = True
-                except (KeyError, TypeError, ValueError):
-                    pmf = None
+            key = api.request_key_material(request, backend=self.name)
+            pmf = engine.cache.load_record(key, _decode_pmf)
+        cached = pmf is not None
         if pmf is None:
             profile = bit_probability_profile(
                 request.distribution, request.width, request.mode)
             with obs.span("engine.analytic.solve"):
                 pmf = adder_error_pmf(request.adder, bit_one=profile)
             if cacheable:
-                engine.cache.store_payload(digest, {
-                    "version": api.METRICS_VERSION,
+                engine.cache.store_record(key, {
                     "analytic_v": ANALYTIC_VERSION,
                     "pmf": pmf.to_dict(),
                 })
@@ -171,6 +161,14 @@ class AnalyticBackend:
         )
 
 
+def _decode_pmf(body: dict) -> ErrorPMF:
+    """A cached record's PMF; raises ValueError if the DP has moved on."""
+    if body.get("analytic_v") != ANALYTIC_VERSION:
+        raise ValueError(f"record has analytic_v {body.get('analytic_v')!r}, "
+                         f"expected {ANALYTIC_VERSION}")
+    return ErrorPMF.from_dict(body["pmf"])
+
+
 class CompiledBackend:
     """Sampling over the bit-sliced compiled netlist kernel.
 
@@ -178,9 +176,9 @@ class CompiledBackend:
     behavioural model and reuses the entire sharded sampling pipeline —
     shard planning, per-shard seed streams, partial merging, the on-disk
     cache — so results are ``--jobs``-invariant exactly like plain
-    sampling.  Shard partials are keyed under ``backend="compiled"`` (and
-    the proxy's own ``compiled/v…`` fingerprint), so they can never be
-    confused with behavioural sampling partials.
+    sampling.  Records are keyed under ``backend="compiled"`` (and the
+    proxy's own ``compiled/v…`` fingerprint), so they can never be
+    confused with behavioural sampling records.
     """
 
     name = "compiled"

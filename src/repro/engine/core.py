@@ -8,10 +8,12 @@ default ``sampling`` backend runs the sharded simulator:
 
 1. **Plan** — the request is split into canonical shards
    (:mod:`repro.engine.planner`); the plan never depends on worker count.
-2. **Probe** — with a cache attached, each shard's content address is
-   looked up and completed partials are reused.
-3. **Execute** — remaining shards are batched into tasks and run either
-   serially or on a ``ProcessPoolExecutor`` with ``jobs`` workers.
+2. **Probe** — with a cache attached, the request's one record is looked
+   up (:mod:`repro.engine.cache`); a verified record supplies every
+   shard's partial and nothing runs.
+3. **Execute** — on a miss the shards are batched into tasks and run
+   either serially or on a ``ProcessPoolExecutor`` with ``jobs``
+   workers, and the merged-in-order partials are stored as one record.
 4. **Merge** — partials are folded in shard-index order
    (:mod:`repro.engine.merge`), so the merged floating-point sums are
    bit-identical at any ``jobs``/``chunk`` setting.
@@ -27,7 +29,7 @@ import contextlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +73,15 @@ def _run_shard(mode: str, shard: Shard, adder, distribution,
     return PartialStats.from_arrays(approx, exact, adder.out_width, thresholds)
 
 
+def _decode_partials(body: dict, count: int) -> List[PartialStats]:
+    """A cached record's partials; raises ValueError unless one per shard."""
+    partials = [PartialStats.from_dict(p) for p in body["partials"]]
+    if len(partials) != count:
+        raise ValueError(f"record holds {len(partials)} partials, "
+                         f"the plan has {count} shards")
+    return partials
+
+
 def _run_task(payload):
     """Evaluate a batch of shards; module-level so it pickles for pools.
 
@@ -106,7 +117,7 @@ class Engine:
 
     Args:
         jobs: worker processes (1 = run in-process, no pool).
-        cache: shard cache — a directory path or a :class:`ShardCache`
+        cache: record cache — a directory path or a :class:`ShardCache`
             instance; None disables caching.
         shard_samples: canonical Monte-Carlo shard granularity.  Part of
             the determinism contract: two engines agree bit-for-bit iff
@@ -190,9 +201,9 @@ class Engine:
                       backend_name: str = "sampling") -> EvalResult:
         """The sharded simulator (the ``sampling`` backend's entry point).
 
-        ``backend_name`` qualifies every shard cache key: the ``compiled``
-        backend reuses this whole pipeline with a substituted adder, and
-        its partials must never collide with plain sampled ones.
+        ``backend_name`` qualifies the request's cache key: the
+        ``compiled`` backend reuses this whole pipeline with a substituted
+        adder, and its records must never collide with plain sampled ones.
         """
         started = time.perf_counter()
         shards = self._plan(request)
@@ -203,22 +214,18 @@ class Engine:
 
             distribution = UniformOperands(request.adder.width)
 
-        partials: Dict[int, PartialStats] = {}
-        digests: Dict[int, str] = {}
-        use_cache = self._cacheable(request)
-        if use_cache:
-            material = api.request_key_material(request, backend=backend_name)
-            for shard in shards:
-                digest = ShardCache.shard_key(
-                    material, shard.index, shard.start, shard.count,
-                    self.shard_samples, shard.entropy,
-                )
-                digests[shard.index] = digest
-                cached = self.cache.load(digest)
-                if cached is not None:
-                    partials[shard.index] = cached
+        key = None
+        cached: Optional[List[PartialStats]] = None
+        if self._cacheable(request):
+            key = api.request_key_material(request, backend=backend_name)
+            key["granularity"] = self.shard_samples
+            entropy = shards[0].entropy
+            key["entropy"] = None if entropy is None else str(entropy)
+            cached = self.cache.load_record(
+                key, lambda body: _decode_partials(body, len(shards)))
 
-        pending = [s for s in shards if s.index not in partials]
+        pending = shards if cached is None else []
+        partials = {s.index: p for s, p in zip(shards, cached or ())}
         timings: List[float] = []
         if pending:
             tasks = group_shards(pending,
@@ -255,17 +262,17 @@ class Engine:
                 for index, partial, elapsed in task_result:
                     partials[index] = partial
                     timings.append(elapsed)
-                    if use_cache:
-                        self.cache.store(digests[index], partial, elapsed)
+        ordered = [partials[s.index] for s in shards]
+        if pending and key is not None:
+            self.cache.store_record(
+                key, {"partials": [p.to_dict() for p in ordered]})
 
         self.shards_executed += len(pending)
         self.shards_cached += len(shards) - len(pending)
         obs.count("engine.shards.executed", len(pending))
         obs.count("engine.shards.cached", len(shards) - len(pending))
 
-        merged = merge_partials(
-            (partials[s.index] for s in shards), request.maa_thresholds
-        )
+        merged = merge_partials(ordered, request.maa_thresholds)
         stats = merged.finalize(*_error_distance_bounds(request.adder))
         return EvalResult(
             stats=stats,

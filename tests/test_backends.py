@@ -7,10 +7,14 @@ counts, and the removed legacy request spellings (which now raise a
 pointed TypeError).
 """
 
+import json
+
 import pytest
 
+from repro import obs
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.engine import (
+    ANALYTIC_VERSION,
     BACKENDS,
     AnalyticUnsupported,
     Engine,
@@ -131,6 +135,43 @@ def test_warm_sampling_cache_not_served_to_analytic(adder, tmp_path):
     resampled = engine.evaluate(EvalRequest.exhaustive(adder))
     assert resampled.stats == sampled.stats
     assert resampled.stats.samples > 0
+
+
+def _stale_analytic_v(record: dict) -> dict:
+    record["body"]["analytic_v"] = ANALYTIC_VERSION - 1
+    return record
+
+
+def _keyless(record: dict) -> dict:
+    # the pre-record layout: a bare payload with no embedded key
+    return {"version": 1, "analytic_v": ANALYTIC_VERSION,
+            "pmf": record["body"]["pmf"]}
+
+
+@pytest.mark.parametrize("damage", [_stale_analytic_v, _keyless],
+                         ids=["stale_analytic_v", "keyless"])
+def test_bad_analytic_record_is_quarantined_and_recomputed(adder, tmp_path,
+                                                           damage):
+    request = EvalRequest.exhaustive(adder, backend="analytic")
+    uncached = Engine(jobs=1).evaluate(request)
+    Engine(jobs=1, cache=tmp_path).evaluate(request)
+    (path,) = tmp_path.glob("??/*.json")
+    text = path.read_text()
+    path.write_text(json.dumps(damage(json.loads(text))))
+
+    engine = Engine(jobs=1, cache=tmp_path)
+    with obs.collecting() as collector:
+        served = engine.evaluate(request)
+    counters = collector.snapshot().counters
+    assert served.stats == uncached.stats
+    assert served.shards_cached == 0 and served.shards_executed == 1
+    assert counters["engine.cache.corrupt"] == 1
+    assert "engine.cache.hit" not in counters
+    assert (tmp_path / "quarantine" / path.name).exists()
+    assert path.read_text() == text
+    warm = engine.evaluate(request)
+    assert warm.shards_cached == 1
+    assert warm.stats == uncached.stats
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Tests for the shard-cache size cap and oldest-first eviction."""
+"""Tests for the record cache's size cap, eviction and concurrent writers."""
 
 import os
-import time
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro import obs
 from repro.core.gear import GeArAdder, GeArConfig
-from repro.engine import Engine, EvalRequest
+from repro.engine import Engine, EvalRequest, api
 from repro.engine.cache import ShardCache
 from repro.engine.merge import PartialStats
 
@@ -17,11 +18,18 @@ def _partial(samples: int = 100) -> PartialStats:
                         sum_amp=90.0, sum_inf=80.0, max_ed=4, maa_hits=((0.9, 5),))
 
 
+def _key(tag: str) -> dict:
+    """A record key; equal-length tags give equal-size records."""
+    return {"v": 1, "entry": tag}
+
+
+def _body() -> dict:
+    return {"partials": [_partial().to_dict()]}
+
+
 def _fill(cache: ShardCache, count: int, prefix: str = "aa") -> list:
-    digests = [f"{prefix}{i:062d}" for i in range(count)]
-    for digest in digests:
-        cache.store(digest, _partial())
-    return digests
+    return [cache.store_record(_key(f"{prefix}{i:04d}"), _body())
+            for i in range(count)]
 
 
 def _age(cache: ShardCache, digests, start: float):
@@ -48,6 +56,8 @@ class TestPrune:
         assert removed == 3
         survivors = set(pruner.digests())
         assert survivors == set(digests[3:])  # newest three kept
+        for digest in digests[3:]:
+            assert pruner.verify(digest)
         assert pruner.disk_usage()[1] <= 3 * entry_bytes
         assert pruner.evictions == 3
 
@@ -57,9 +67,8 @@ class TestPrune:
         _age(writer, old, start=1_000_000.0)
 
         cache = ShardCache(tmp_path, max_bytes=0)
-        new = [f"bb{i:062d}" for i in range(3)]
-        for digest in new:
-            cache.store(digest, _partial())
+        new = [cache.store_record(_key(f"bb{i:04d}"), _body())
+               for i in range(3)]
         # cap of 0 forces pruning on every store: all unprotected old
         # entries go, but this run's own shards all survive.
         survivors = set(cache.digests())
@@ -68,8 +77,7 @@ class TestPrune:
 
     def test_store_prunes_to_cap(self, tmp_path):
         probe = ShardCache(tmp_path)
-        sample = [f"cc{i:062d}" for i in range(1)]
-        probe.store(sample[0], _partial())
+        probe.store_record(_key("cc0000"), _body())
         entry_bytes = probe.disk_usage()[1]
         probe.clear()
 
@@ -78,10 +86,10 @@ class TestPrune:
         _age(old_writer, old, start=1_000_000.0)
 
         cache = ShardCache(tmp_path, max_bytes=4 * entry_bytes)
-        cache.store("dd" + "0" * 62, _partial())
+        newest = cache.store_record(_key("dd0000"), _body())
         entries, total = cache.disk_usage()
         assert total <= 4 * entry_bytes
-        assert "dd" + "0" * 62 in set(cache.digests())
+        assert newest in set(cache.digests())
 
     def test_prune_counts_into_obs(self, tmp_path):
         writer = ShardCache(tmp_path)
@@ -133,3 +141,36 @@ class TestEngineWithCappedCache:
         rerun = engine.evaluate(request)
         assert rerun.stats == first
         assert rerun.shards_executed == 0
+
+
+def _hammer(root: str) -> list:
+    """Two threads each store one record 100×; returns their errors."""
+    cache = ShardCache(root)
+    errors: list = []
+
+    def write():
+        try:
+            for _ in range(100):
+                cache.store_record(_key("race"), _body())
+        except Exception as exc:  # reported to the parent, not swallowed
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=write) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return errors
+
+
+class TestConcurrentWriters:
+    def test_two_processes_two_threads_one_record(self, tmp_path):
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            errors = list(pool.map(_hammer, [str(tmp_path)] * 2))
+        assert errors == [[], []]
+        cache = ShardCache(tmp_path)
+        (digest,) = cache.digests()
+        assert digest == api.key_digest(_key("race"))
+        assert cache.verify(digest)
+        assert cache.load_record(_key("race")) == _body()
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]

@@ -2,9 +2,9 @@
 
 Covers the engine's contract end to end: deterministic shard planning,
 bit-identical results at any worker count and chunking, exact associative
-merging, the on-disk shard cache (hits, misses, invalidation), the three
-evaluation modes against their direct-computation references, and the
-deprecated wrapper / default-engine plumbing.
+merging, the on-disk record cache (hits, misses, invalidation, bad-record
+quarantine), the three evaluation modes against their direct-computation
+references, and the deprecated wrapper / default-engine plumbing.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.adders.rca import RippleCarryAdder
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.engine import (
@@ -283,6 +284,94 @@ class TestCache:
         engine = Engine(jobs=1, cache=tmp_path)
         engine.evaluate(EvalRequest(adder=adder, samples=4096, seed=None))
         assert len(ShardCache(tmp_path)) == 0
+
+    def test_one_record_per_request(self, adder, tmp_path):
+        engine = Engine(jobs=1, shard_samples=2048, cache=tmp_path)
+        result = engine.evaluate(EvalRequest(adder=adder, samples=10_000,
+                                             seed=6))
+        assert result.shards_total == 5
+        records = list(tmp_path.glob("??/*.json"))
+        assert len(records) == 1
+        record = json.loads(records[0].read_text())
+        assert record["key"]["granularity"] == 2048
+        assert len(record["body"]["partials"]) == result.shards_total
+
+    def test_granularity_is_part_of_the_key(self, adder, tmp_path):
+        request = EvalRequest(adder=adder, samples=10_000, seed=6)
+        Engine(jobs=1, shard_samples=2048, cache=tmp_path).evaluate(request)
+        other = Engine(jobs=1, shard_samples=4096, cache=tmp_path)
+        other.evaluate(request)
+        assert other.shards_cached == 0
+        assert len(ShardCache(tmp_path)) == 2
+
+
+def _truncate(record: dict, text: str, foreign: str) -> str:
+    return text[:len(text) // 2]
+
+
+def _non_dict(record: dict, text: str, foreign: str) -> str:
+    return json.dumps([record["key"], record["body"]])
+
+
+def _foreign(record: dict, text: str, foreign: str) -> str:
+    return foreign
+
+
+def _wrong_partial_count(record: dict, text: str, foreign: str) -> str:
+    record["body"]["partials"] = record["body"]["partials"][:-1]
+    return json.dumps(record, sort_keys=True)
+
+
+class TestBadRecords:
+    """A record that fails to verify is quarantined, never served."""
+
+    @pytest.mark.parametrize("damage", [_truncate, _non_dict, _foreign,
+                                        _wrong_partial_count],
+                             ids=["truncated", "non_dict", "foreign",
+                                  "wrong_partial_count"])
+    def test_bad_record_is_quarantined_and_recomputed(self, adder, tmp_path,
+                                                      damage):
+        request = EvalRequest(adder=adder, samples=10_000, seed=6)
+        uncached = Engine(jobs=1, shard_samples=2048).evaluate(request)
+        cache_dir, other_dir = tmp_path / "cache", tmp_path / "other"
+        Engine(jobs=1, shard_samples=2048, cache=cache_dir).evaluate(request)
+        Engine(jobs=1, shard_samples=2048, cache=other_dir).evaluate(
+            EvalRequest(adder=adder, samples=10_000, seed=7))
+        (path,) = cache_dir.glob("??/*.json")
+        (foreign,) = other_dir.glob("??/*.json")
+        text = path.read_text()
+        path.write_text(damage(json.loads(text), text, foreign.read_text()))
+
+        engine = Engine(jobs=1, shard_samples=2048, cache=cache_dir)
+        with obs.collecting() as collector:
+            served = engine.evaluate(request)
+        counters = collector.snapshot().counters
+        assert served.stats == uncached.stats
+        assert served.shards_cached == 0
+        assert served.shards_executed == served.shards_total
+        assert counters["engine.cache.corrupt"] == 1
+        assert counters["engine.cache.miss"] == 1
+        assert "engine.cache.hit" not in counters
+        assert [p.name for p in (cache_dir / "quarantine").iterdir()] == \
+            [path.name]
+        # the record was rewritten and now verifies and serves
+        assert path.read_text() == text
+        warm = engine.evaluate(request)
+        assert warm.shards_cached == warm.shards_total
+        assert warm.stats == uncached.stats
+
+    def test_stale_legacy_shard_files_are_never_read(self, adder, tmp_path):
+        # A per-shard file from the old layout lives under a digest no
+        # request key produces: it is neither served nor quarantined.
+        legacy = tmp_path / "ab" / ("ab" + "0" * 62 + ".json")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps({"version": METRICS_VERSION,
+                                      "partial": {}, "elapsed_s": 0.0}))
+        engine = Engine(jobs=1, cache=tmp_path)
+        engine.evaluate(EvalRequest(adder=adder, samples=4096, seed=1))
+        assert legacy.exists()
+        assert not (tmp_path / "quarantine").exists()
+        assert ShardCache(tmp_path).clear() == 2
 
 
 class TestDefaultEngine:

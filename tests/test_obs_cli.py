@@ -12,6 +12,8 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core.gear import GeArAdder, GeArConfig
+from repro.engine import Engine, EvalRequest
 
 SWEEP = ["sweep", "8", "--r", "2", "--no-hardware", "--samples", "20000",
          "--json"]
@@ -86,11 +88,15 @@ class TestTraceFlag:
         _run(capsys, [*argv, "--trace", str(warm_t)])
         cold = obs.read_trace(cold_t).frame.counters
         warm = obs.read_trace(warm_t).frame.counters
-        assert cold["engine.cache.store"] == cold["engine.shards.planned"]
+        # one record per request, however many shards it plans
+        assert cold["engine.cache.store"] == cold["engine.requests"]
+        assert cold["engine.shards.planned"] > cold["engine.requests"]
         assert cold["engine.cache.miss"] == cold["engine.cache.store"]
-        assert warm["engine.cache.hit"] == warm["engine.shards.planned"]
+        assert warm["engine.cache.hit"] == warm["engine.requests"]
+        assert warm["engine.shards.cached"] == warm["engine.shards.planned"]
         assert warm["engine.shards.executed"] == 0
         assert "engine.cache.store" not in warm
+        assert "engine.cache.corrupt" not in warm
 
     def test_verify_layers_appear_in_trace(self, capsys, tmp_path):
         trace = tmp_path / "v.jsonl"
@@ -150,6 +156,30 @@ class TestCacheSubcommand:
         code, out, _ = _run(capsys, ["cache", "stats", "--dir", str(cache),
                                      "--json"])
         assert json.loads(out)["entries"] == 0
+
+    def test_stats_verifies_records_of_both_backends(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        engine = Engine(jobs=1, cache=cache)
+        adder = GeArAdder(GeArConfig(8, 2, 2))
+        engine.evaluate(EvalRequest.exhaustive(adder, backend="analytic"))
+        engine.evaluate(EvalRequest.monte_carlo(adder, 100_000, seed=1))
+        code, out, _ = _run(capsys, ["cache", "stats", "--dir", str(cache),
+                                     "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["entries"] == 2
+        assert payload["valid"] == payload["entries"]
+        assert payload["corrupt"] == 0
+
+    def test_stats_flags_foreign_record(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        _run(capsys, [*SWEEP, "--cache", str(cache)])
+        first, second = sorted(cache.glob("??/*.json"))[:2]
+        second.write_text(first.read_text())  # valid JSON, wrong digest
+        code, out, _ = _run(capsys, ["cache", "stats", "--dir", str(cache),
+                                     "--json"])
+        assert code == 1
+        assert json.loads(out)["corrupt"] == 1
 
     def test_stats_flags_corrupt_entries(self, capsys, tmp_path):
         cache = tmp_path / "cache"
