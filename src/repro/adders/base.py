@@ -231,9 +231,9 @@ class WindowedSpeculativeAdder(AdderModel):
     def mean_error_distance(self) -> float:
         """Exact analytic E[|approx - exact|] for uniform operands.
 
-        Delegates to the field-expectation identity
+        Delegates to the O(N) wrap-identity expectation
         (:func:`repro.core.error_model.mean_error_distance_windows`), which
-        holds for any window geometry.
+        holds for any window geometry and width.
         """
         from repro.core.error_model import mean_error_distance_windows
 

@@ -530,11 +530,10 @@ def _cmd_spec(args: argparse.Namespace) -> int:
             taps = ", ".join(str(i + 1) for i in spec.rectified_windows())
             print(f"rectify ({spec.rectify.kind}): flags of windows "
                   f"[{taps}] added back into the sum")
-        terms = spec.to_error_terms()
-        ep = terms.error_probability()
-        if ep is not None:
+        if not (spec.truncation or spec.uses_v2):  # closed-form EP only
+            ep = spec.to_model().error_probability()
             print(f"error probability (exact DP): {ep:.8f}")
-        print(f"max error distance          : {terms.max_error_distance()}")
+        print(f"max error distance          : {spec.max_error_distance()}")
         return 0
 
     # spec lint: compile each target's netlist and run the lint rules.

@@ -2,13 +2,11 @@
 
 §3.2 hard-codes ρ[Pr] = 1/2 and ρ[Gr] = 1/4 — correct for uniform
 operands, off by an order of magnitude for skewed real-world data (see the
-distribution ablation).  This module generalises the *exact* DP engine to
-position-dependent probabilities:
-
-1. :func:`estimate_bit_statistics` measures per-bit-position
-   (generate, propagate, kill) rates from operand samples,
-2. :func:`error_probability_bitwise` runs the carry/run-length DP with
-   those rates.
+distribution ablation).  This module measures the per-bit-position
+(generate, propagate) rates of an operand source
+(:func:`estimate_bit_statistics`) and feeds them to the one exact
+carry/run-length chain, :func:`repro.core.error_model.error_probability_windows`
+(:func:`predict_error_rate`).
 
 The prediction is exact when operand bits are independent across
 positions; real data has cross-bit correlation, so residual gaps remain —
@@ -20,10 +18,11 @@ distribution bench).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.error_model import error_probability_windows
 from repro.core.gear import GeArConfig
 from repro.utils.distributions import OperandDistribution
 from repro.utils.validation import check_pos_int
@@ -51,6 +50,11 @@ class BitStatistics:
     @property
     def width(self) -> int:
         return len(self.generate)
+
+    @property
+    def rates(self) -> Tuple[Tuple[float, float], ...]:
+        """Per-bit ``(generate, propagate)`` pairs, the chain's input."""
+        return tuple(zip(self.generate, self.propagate))
 
     @classmethod
     def uniform(cls, width: int) -> "BitStatistics":
@@ -86,55 +90,6 @@ def statistics_from_distribution(
     return estimate_bit_statistics(a, b, distribution.width)
 
 
-def error_probability_bitwise(config: GeArConfig, stats: BitStatistics) -> float:
-    """Exact ρ[Error] under independent-per-position bit statistics.
-
-    Same DP as :func:`repro.core.error_model.error_probability_exact`
-    (state = carry into the next bit × trailing propagate-run length), but
-    the per-bit transition probabilities come from ``stats``.  With
-    ``BitStatistics.uniform`` this reproduces the paper's model exactly.
-    """
-    if stats.width != config.n:
-        raise ValueError(
-            f"statistics cover {stats.width} bits, config needs {config.n}"
-        )
-    windows = config.windows()
-    if len(windows) == 1:
-        return 0.0
-    checks = {}
-    max_pred = 0
-    for w in windows[1:]:
-        pred = w.prediction_bits
-        max_pred = max(max_pred, pred)
-        checks.setdefault(w.result_low - 1, []).append(pred)
-
-    cap = max_pred
-    state = {(0, 0): 1.0}
-    error_mass = 0.0
-    for bit in range(config.n):
-        g = stats.generate[bit]
-        p = stats.propagate[bit]
-        k = max(0.0, 1.0 - g - p)
-        nxt: dict = {}
-
-        def put(key, value):
-            if value:
-                nxt[key] = nxt.get(key, 0.0) + value
-
-        for (carry, run), mass in state.items():
-            put((carry, min(run + 1, cap)), mass * p)
-            put((1, 0), mass * g)
-            put((0, 0), mass * k)
-        if bit in checks:
-            for pred in sorted(checks[bit], reverse=True):
-                for key in list(nxt):
-                    carry, run = key
-                    if carry == 1 and run >= pred:
-                        error_mass += nxt.pop(key)
-        state = nxt
-    return error_mass
-
-
 def predict_error_rate(
     config: GeArConfig,
     distribution: OperandDistribution,
@@ -143,4 +98,5 @@ def predict_error_rate(
 ) -> float:
     """Bitwise-model prediction of the error rate on a distribution."""
     stats = statistics_from_distribution(distribution, samples=samples, seed=seed)
-    return error_probability_bitwise(config, stats)
+    return error_probability_windows(config.windows(), config.n,
+                                     rates=stats.rates)

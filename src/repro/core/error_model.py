@@ -22,6 +22,13 @@ Three engines are provided:
    i.i.d. uniform operand bits, computed from first principles (a dynamic
    program over bit positions with state (carry into next bit, trailing
    propagate-run length)) with no reference to the paper's event set.
+   The same chain, :func:`error_probability_windows`, takes any window
+   layout and optional per-bit (generate, propagate) rates.
+
+:func:`mean_error_distance_windows` is the matching O(N) closed form of
+the mean error distance.  These closed forms describe plain speculative
+layouts; the exact error PMF of any layout, including static low parts
+and rectify stages, is :func:`repro.engine.analytic.adder_error_pmf`.
 
 A noteworthy reproduction finding: engines 1 and 3 agree to machine
 precision on every strict configuration (integer ``(N-L)/R``).  The paper's event set looks truncated
@@ -43,7 +50,7 @@ conservative there; engine 3 uses the actual window geometry and matches
 functional simulation.
 
 All engines assume ρ[generate] = 1/4 and ρ[propagate] = 1/2 per bit
-(uniform operands), exactly as §3.2 does.
+(uniform operands), exactly as §3.2 does, unless rates are passed.
 
 Adder models report the exact rate of their windows from
 ``error_probability()``; :func:`paper_error_probability` is the value the
@@ -53,7 +60,7 @@ paper reports for an adder, engine 1 wherever the adder is a GeAr point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.gear import GeArConfig
 
@@ -237,14 +244,25 @@ def error_probability_exact(config: GeArConfig) -> float:
     return error_probability_windows(config.windows(), config.n)
 
 
-def error_probability_windows(windows, n: int) -> float:
+def error_probability_windows(
+    windows, n: int, rates: Optional[Sequence[Tuple[float, float]]] = None,
+) -> float:
     """Exact ρ[Error] of an arbitrary windowed speculative adder.
 
     Works from the actual :class:`SpeculativeWindow` geometry, so it covers
     ETAIIM's fused segments and GDA's zero-anchored blocks as well as plain
     GeAr configurations.  Windows anchored at bit 0 see every lower bit and
     cannot err, so they contribute no check.
+
+    ``rates`` gives each bit's ``(generate, propagate)`` probabilities,
+    LSB first; ``None`` is the paper's uniform-operand ``(1/4, 1/2)``.
+    The result is exact whenever operand bits are independent across
+    positions (see :mod:`repro.core.bitwise_model` for measured rates).
     """
+    if rates is None:
+        rates = ((0.25, 0.5),) * n
+    elif len(rates) != n:
+        raise ValueError(f"rates cover {len(rates)} bits, the adder has {n}")
     if len(windows) == 1:
         return 0.0
     checks = {}
@@ -262,16 +280,18 @@ def error_probability_windows(windows, n: int) -> float:
     # state[(carry, run)] = probability mass; run capped at `cap`.
     state = {(0, 0): 1.0}
     error_mass = 0.0
-    for bit in range(n):
+    for bit, (g, p) in enumerate(rates):
+        kill = max(0.0, 1.0 - g - p)
         nxt: dict = {}
 
         def put(key, value):
-            nxt[key] = nxt.get(key, 0.0) + value
+            if value:
+                nxt[key] = nxt.get(key, 0.0) + value
 
         for (carry, run), mass in state.items():
-            put((carry, min(run + 1, cap)), mass * 0.5)  # propagate
-            put((1, 0), mass * 0.25)  # generate
-            put((0, 0), mass * 0.25)  # kill
+            put((carry, min(run + 1, cap)), mass * p)  # propagate
+            put((1, 0), mass * g)  # generate
+            put((0, 0), mass * kill)
         if bit in checks:
             for pred in sorted(checks[bit], reverse=True):
                 for (carry, run) in list(nxt):
@@ -281,97 +301,50 @@ def error_probability_windows(windows, n: int) -> float:
     return error_mass
 
 
-def accuracy_percentage(config: GeArConfig, exact: bool = False) -> float:
+def accuracy_percentage(config: GeArConfig) -> float:
     """(1 - ρ[Error]) · 100 — the quantity plotted in Fig. 7."""
-    prob = error_probability_exact(config) if exact else error_probability(config)
-    return (1.0 - prob) * 100.0
-
-
-def _carry_probability_profile(width: int) -> List[float]:
-    """c[q] = P(carry into bit q) for uniform operands, c[0] = 0.
-
-    Recurrence c[q+1] = ρ[Gr] + ρ[Pr]·c[q] = 1/4 + c[q]/2.
-    """
-    profile = [0.0]
-    for _ in range(width):
-        profile.append(0.25 + 0.5 * profile[-1])
-    return profile
-
-
-def mean_error_distance_upper_bound(config: GeArConfig) -> float:
-    """Upper bound on E[|approx - exact|] for uniform operands.
-
-    The deficit decomposes as Σ_i m_i · 2^{result_low_i} *minus* wrap
-    cancellations (a missed carry that overflows an all-ones result field
-    hands its weight to the next window).  Dropping the cancellations gives
-    this bound: ρ[m_i] = ρ[Pr]^{pred} · c(low_i) since the propagate
-    conjunct and the incoming-carry conjunct concern disjoint bit sets.
-    """
-    profile = _carry_probability_profile(config.n)
-    med = 0.0
-    for w in config.windows()[1:]:
-        miss = 0.5 ** w.prediction_bits * profile[w.low]
-        med += miss * 2.0 ** w.result_low
-    return med
+    return (1.0 - error_probability(config)) * 100.0
 
 
 def mean_error_distance_windows(windows, n: int) -> float:
     """Exact E[|approx - exact|] of a windowed speculative adder.
 
-    Uses linearity of expectation over the output fields: each window's
-    local value ``v = A_w + B_w`` follows the triangular distribution of a
-    sum of two i.i.d. uniforms, so E[(v >> P) mod 2^R] is computable in
-    closed (enumerated) form per window regardless of window overlap.  The
-    exact sum's expectation is 2^N - 1, hence
+    A window that misses its carry-in loses ``2^{result_low}``, unless its
+    result field was all ones: then the lost carry would have overflowed
+    into the next window, which misses it too, so one ``2^{result_high+1}``
+    is counted twice and comes back (the wrap identity,
+    ``docs/error_model.md`` §5).  The last window has no successor; its
+    overflow is the speculative carry out.  With ``c(q)`` the probability
+    of a carry into bit ``q``, by linearity of expectation
 
-        MED = (2^N - 1) - Σ_w E[field_w]·2^{result_low_w} - P(cout)·2^N
+        MED = Σ_s c(low_s)·(ρ[Pr]^{P_s}·2^{result_low_s}
+                            - [s not last]·ρ[Pr]^{P_s+R_s}·2^{result_high_s+1})
 
-    (approximate never exceeds exact for these adders, so E[error] = MED).
+    over the speculative windows with ``low_s > 0`` — O(N), at any width.
+    The error is never negative, so its mean is the MED.
 
     Args:
         windows: the adder's :class:`SpeculativeWindow` list.
         n: operand width.
     """
-    import numpy as np
-
-    expected_approx = 0.0
-    for w in windows:
-        length = w.length
-        if length > 26:
-            raise ValueError(
-                f"window length {length} too large for exact MED enumeration"
-            )
-        v = np.arange(0, (1 << (length + 1)) - 1, dtype=np.int64)
-        counts = np.minimum(v, (1 << (length + 1)) - 2 - v) + 1
-        probs = counts / float(4 ** length)
-        field = (v >> w.prediction_bits) & ((1 << w.result_bits) - 1)
-        expected_approx += float((probs * field).sum()) * 2.0 ** w.result_low
-    # Speculative carry out of the last window.
-    last_len = windows[-1].length
-    p_cout = 1.0 - (2 ** last_len + 1) / float(2 ** (last_len + 1))
-    expected_approx += p_cout * 2.0 ** n
-    return (2.0 ** n - 1.0) - expected_approx
+    carry = [0.0]  # c(q+1) = ρ[Gr] + ρ[Pr]·c(q)
+    for _ in range(n):
+        carry.append(0.25 + 0.5 * carry[-1])
+    last = len(windows) - 1
+    med = 0.0
+    for s, w in enumerate(windows[1:], start=1):
+        if w.low == 0:
+            continue  # sees all lower bits: exact
+        miss = carry[w.low] * 0.5 ** w.prediction_bits
+        med += miss * 2.0 ** w.result_low
+        if s < last:
+            med -= miss * 0.5 ** w.result_bits * 2.0 ** (w.result_high + 1)
+    return med
 
 
 def mean_error_distance_analytic(config: GeArConfig) -> float:
     """Exact E[|approx - exact|] of a GeAr configuration (uniform operands)."""
     return mean_error_distance_windows(config.windows(), config.n)
-
-
-def mean_error_distance_paper_model(config: GeArConfig) -> float:
-    """E[|approx - exact|] with the paper's truncated carry chains.
-
-    Same decomposition as :func:`mean_error_distance_analytic` but the
-    carry into each window is restricted to the R bits below it (the
-    event set of Eq. 5): ρ[m_s] = Σ_m ρ[Z_{s,m}].
-    """
-    med = 0.0
-    window_objects = config.windows()[1:]
-    events = error_events(config)
-    for s, w in enumerate(window_objects, start=1):
-        miss = sum(e.probability for e in events if e.window == s)
-        med += miss * 2.0 ** w.result_low
-    return med
 
 
 def max_error_distance(config: GeArConfig) -> int:

@@ -3,9 +3,9 @@
 One frozen, JSON-round-trippable :class:`AdderSpec` describes an adder —
 window geometry, per-window sub-adder architecture, carry-prediction
 style, optional LOA truncation — and compiles into every layer:
-``to_model()`` (behavioural), ``to_netlist()`` (gate level, via the one
-generic window compiler), ``to_error_terms()`` (exact analytics) and
-``fingerprint()`` (engine cache / registry identity).  See ``docs/spec.md``.
+``to_model()`` (behavioural, with EP/MED), ``to_netlist()`` (gate level,
+via the one generic window compiler) and ``fingerprint()`` (engine cache
+/ registry identity).  See ``docs/spec.md``.
 """
 
 from repro.spec.catalog import (
@@ -35,7 +35,6 @@ from repro.spec.ir import (
     STATIC_APPROX,
     SUPPORTED_SPEC_VERSIONS,
     AdderSpec,
-    ErrorTerms,
     RectifySpec,
     WindowSpec,
 )
@@ -43,7 +42,6 @@ from repro.spec.model import (
     RectifiedSpecAdder,
     SpecAdder,
     StaticSpecAdder,
-    TruncatedSpecAdder,
 )
 
 __all__ = [
@@ -55,13 +53,11 @@ __all__ = [
     "STATIC_APPROX",
     "SUPPORTED_SPEC_VERSIONS",
     "AdderSpec",
-    "ErrorTerms",
     "RectifySpec",
     "WindowSpec",
     "RectifiedSpecAdder",
     "SpecAdder",
     "StaticSpecAdder",
-    "TruncatedSpecAdder",
     "SPEC_CATALOG",
     "SpecFamily",
     "aca1_spec",

@@ -25,8 +25,9 @@ One spec compiles into each layer of the library:
   :class:`~repro.adders.base.AdderModel`,
 * :meth:`AdderSpec.to_netlist` — the gate-level netlist, through the one
   generic window compiler :func:`repro.rtl.builders.build_spec`,
-* :meth:`AdderSpec.to_error_terms` — the exact analytic EP/MED/max-ED
-  terms over the window geometry,
+* :meth:`AdderSpec.max_error_distance` — the worst-case error bound
+  (EP/MED come from the model; the exact error PMF of any spec is
+  :func:`repro.engine.analytic.adder_error_pmf` of its model),
 * :meth:`AdderSpec.fingerprint` — the stable identity the engine's shard
   cache and the conformance registry key on.  Specs that use no
   version-2 feature keep their byte-identical ``spec/v1:`` fingerprint
@@ -269,64 +270,6 @@ class RectifySpec:
         return cls(kind=str(data.get("kind", "ripple")),
                    enabled=None if enabled is None
                    else tuple(int(i) for i in enabled))
-
-
-@dataclass(frozen=True)
-class ErrorTerms:
-    """Analytic error terms of a spec, feeding the window-DP analytics.
-
-    ``error_probability``/``mean_error_distance`` are *exact* for any
-    plain speculative window layout (first-principles DP of
-    :mod:`repro.core.error_model`); with a static/OR-reduced low part or a
-    rectify stage the closed forms do not apply and both return ``None``
-    (the full PMF of :mod:`repro.engine.analytic` stays exact there).
-    ``max_error_distance`` is always available as an upper bound.
-    """
-
-    width: int
-    windows: Tuple[SpeculativeWindow, ...]
-    truncation: int = 0
-    static_kind: Optional[str] = None
-    rectified: Tuple[int, ...] = ()
-
-    def error_probability(self) -> Optional[float]:
-        if self.truncation or self.rectified:
-            return None
-        from repro.core.error_model import error_probability_windows
-
-        return error_probability_windows(self.windows, self.width)
-
-    def mean_error_distance(self) -> Optional[float]:
-        if self.truncation or self.rectified:
-            return None
-        from repro.core.error_model import mean_error_distance_windows
-
-        return mean_error_distance_windows(self.windows, self.width)
-
-    def max_error_distance(self) -> int:
-        """Upper bound on ``|approx - exact|`` over all operand pairs.
-
-        Each speculative window can miss an incoming carry worth
-        ``2**result_low``; windows anchored at bit 0 of an untruncated word
-        see every lower bit and cannot err, and *rectified* windows repair
-        their own miss exactly (the flag fires precisely on the missed
-        carry) so they contribute nothing either.  An OR-reduced low part
-        contributes ``2**(t+1) - 1`` (wrong low sum bits plus the
-        approximated carry into the exact part); HOERAA's half-adder top
-        bit cancels the boundary terms, leaving at most ``2**t - 1``.
-        """
-        t = self.truncation
-        if t and self.static_kind == "hoeraa":
-            trunc_part = (1 << t) - 1
-        elif t:
-            trunc_part = (1 << (t + 1)) - 1
-        else:
-            trunc_part = 0
-        rect = set(self.rectified)
-        spec_part = sum(1 << w.result_low
-                        for i, w in enumerate(self.windows[1:], start=1)
-                        if (w.low > 0 or t > 0) and i not in rect)
-        return trunc_part + spec_part
 
 
 @dataclass(frozen=True)
@@ -631,47 +574,35 @@ class AdderSpec:
         with obs.span("spec.to_netlist"):
             return build_spec(self)
 
-    def to_error_terms(self) -> ErrorTerms:
-        """Analytic EP/MED/max-ED terms over the window geometry."""
-        static = self.static_window
-        if static is not None:
-            return ErrorTerms(width=self.width,
-                              windows=self.to_windows()[1:],
-                              truncation=static.length,
-                              static_kind=static.approx)
-        return ErrorTerms(width=self.width, windows=self.to_windows(),
-                          truncation=self.truncation,
-                          static_kind="or" if self.truncation else None,
-                          rectified=self.rectified_windows())
-
-    def to_error_pmf(self, one_density: float = 0.5):
-        """Exact signed error PMF of this spec.
-
-        ``one_density`` is the probability that any operand bit is one
-        (bits independent, both operands i.i.d. — 0.5 reproduces the
-        uniform-operand setting).  Returns an
-        :class:`~repro.engine.analytic.ErrorPMF`; EP/MED/max-ED taken
-        from it agree with :meth:`to_error_terms` where the closed-form
-        terms exist, and remain exact where they do not (truncated,
-        static and rectified specs).
-        """
-        from repro.engine.analytic import error_pmf
-
-        profile = (float(one_density),) * self.width
-        static = self.static_window
-        if static is not None:
-            return error_pmf(self.width, self.to_windows()[1:],
-                             truncation=static.length,
-                             static_kind=static.approx,
-                             bit_one=profile)
-        return error_pmf(self.width, self.to_windows(),
-                         truncation=self.truncation,
-                         rectified=self.rectified_windows(),
-                         bit_one=profile)
-
     def to_windows(self) -> Tuple[SpeculativeWindow, ...]:
         """The behavioural window layout (absolute bit coordinates)."""
         return tuple(w.to_window() for w in self.windows)
+
+    def max_error_distance(self) -> int:
+        """Upper bound on ``|approx - exact|`` over all operand pairs.
+
+        Each speculative window can miss an incoming carry worth
+        ``2**result_low``; windows anchored at bit 0 see every lower bit
+        and cannot err, and *rectified* windows repair their own miss
+        exactly (the flag fires precisely on the missed carry) so they
+        contribute nothing either.  An OR-reduced low part of ``t`` bits
+        contributes ``2**(t+1) - 1`` (wrong low sum bits plus the
+        approximated carry into the exact part); HOERAA's half-adder top
+        bit cancels the boundary terms, leaving at most ``2**t - 1``.
+        """
+        static = self.static_window
+        t = static.length if static is not None else self.truncation
+        if not t:
+            bound = 0
+        elif static is not None and static.approx == "hoeraa":
+            bound = (1 << t) - 1
+        else:
+            bound = (1 << (t + 1)) - 1
+        body = self.windows[1:] if static is not None else self.windows
+        rectified = set(self.rectified_windows())
+        return bound + sum(1 << w.result_low
+                           for i, w in enumerate(body[1:], start=1)
+                           if w.low > 0 and i not in rectified)
 
     @property
     def is_exact(self) -> bool:

@@ -2,12 +2,14 @@
 
 :class:`SpecAdder` covers every plain speculative spec by riding the
 shared :class:`~repro.adders.base.WindowedSpeculativeAdder` machinery —
-the vectorised windowed sum, §3.3 detection flags, and the exact
-window-DP analytics — so a heterogeneous layout needs zero
-family-specific code.  :class:`StaticSpecAdder` adds the fixed low part
-(LOA's OR truncation or a version-2 static window, including HOERAA's
-half-adder top bit); :class:`RectifiedSpecAdder` applies the declared
-rectification stage on top of the speculative sum.
+the vectorised windowed sum, §3.3 detection flags, and the closed-form
+EP/MED of :mod:`repro.core.error_model` — so a heterogeneous layout needs
+zero family-specific code.  :class:`StaticSpecAdder` adds the fixed low
+part (LOA's OR truncation or a version-2 static window, including
+HOERAA's half-adder top bit); :class:`RectifiedSpecAdder` applies the
+declared rectification stage on top of the speculative sum.  Those two
+have no closed form: their EP/MED reduce the exact error PMF of
+:func:`repro.engine.analytic.adder_error_pmf`.
 
 All of them delegate ``build_netlist``/``fingerprint`` back to the spec,
 so the behavioural, gate-level and analytic layers of one spec always
@@ -19,15 +21,6 @@ from __future__ import annotations
 from repro.adders.base import AdderModel, IntLike, WindowedSpeculativeAdder
 from repro.spec.ir import AdderSpec
 from repro.utils.bitvec import mask
-
-
-def _uniform_pmf(model):
-    """The spec's exact uniform-operand PMF, memoised on the model."""
-    pmf = getattr(model, "_uniform_pmf_cache", None)
-    if pmf is None:
-        pmf = model.spec.to_error_pmf()
-        model._uniform_pmf_cache = pmf
-    return pmf
 
 
 class SpecAdder(WindowedSpeculativeAdder):
@@ -46,19 +39,8 @@ class SpecAdder(WindowedSpeculativeAdder):
     def is_exact(self) -> bool:
         return self.spec.is_exact
 
-    def error_probability(self) -> float:
-        """Exact window-DP error probability from the spec's terms."""
-        ep = self.spec.to_error_terms().error_probability()
-        assert ep is not None  # plain speculative by construction
-        return ep
-
-    def mean_error_distance(self) -> float:
-        med = self.spec.to_error_terms().mean_error_distance()
-        assert med is not None
-        return med
-
     def max_error_distance(self) -> int:
-        return self.spec.to_error_terms().max_error_distance()
+        return self.spec.max_error_distance()
 
     def build_netlist(self):
         return self.spec.to_netlist()
@@ -79,8 +61,8 @@ class RectifiedSpecAdder(SpecAdder):
     disabled windows' error events remain.
 
     EP/MED have no closed window-DP form under rectification, so they
-    reduce the exact analytic PMF instead; max-ED comes from the spec's
-    terms (enabled windows contribute nothing).
+    reduce the exact analytic PMF instead; max-ED comes from the spec
+    (enabled windows contribute nothing).
     """
 
     def __init__(self, spec: AdderSpec) -> None:
@@ -98,10 +80,14 @@ class RectifiedSpecAdder(SpecAdder):
         return raw & mask(self.width + 1)
 
     def error_probability(self) -> float:
-        return _uniform_pmf(self).error_rate
+        from repro.engine.analytic import adder_error_pmf
+
+        return adder_error_pmf(self).error_rate
 
     def mean_error_distance(self) -> float:
-        return _uniform_pmf(self).med
+        from repro.engine.analytic import adder_error_pmf
+
+        return adder_error_pmf(self).med
 
 
 class StaticSpecAdder(AdderModel):
@@ -156,13 +142,17 @@ class StaticSpecAdder(AdderModel):
         return result | (carry_out << self.width)
 
     def error_probability(self) -> float:
-        return _uniform_pmf(self).error_rate
+        from repro.engine.analytic import adder_error_pmf
+
+        return adder_error_pmf(self).error_rate
 
     def mean_error_distance(self) -> float:
-        return _uniform_pmf(self).med
+        from repro.engine.analytic import adder_error_pmf
+
+        return adder_error_pmf(self).med
 
     def max_error_distance(self) -> int:
-        return self.spec.to_error_terms().max_error_distance()
+        return self.spec.max_error_distance()
 
     def build_netlist(self):
         return self.spec.to_netlist()
@@ -170,7 +160,3 @@ class StaticSpecAdder(AdderModel):
     def fingerprint(self) -> str:
         return self.spec.fingerprint()
 
-
-#: Backwards-compatible alias: before IR v2 the static low part existed
-#: only as LOA truncation and the model class was named for it.
-TruncatedSpecAdder = StaticSpecAdder

@@ -106,14 +106,6 @@ def test_varied_profile_matches_brute_force():
     assert_pmf_equals(pmf, brute_force_pmf(adder, width, bit_one))
 
 
-def test_spec_to_error_pmf_shortcut():
-    spec = catalog_spec("gear_r2p2", 8)
-    direct = spec.to_error_pmf(one_density=0.3)
-    via_model = adder_error_pmf(spec.to_model(), bit_one=(0.3,) * 8)
-    assert direct.support == via_model.support
-    assert direct.probabilities == pytest.approx(via_model.probabilities)
-
-
 # ---------------------------------------------------------------------------
 # property-based: random layouts of every block-based family
 # ---------------------------------------------------------------------------

@@ -5,15 +5,22 @@ import pytest
 
 from repro.core.bitwise_model import (
     BitStatistics,
-    error_probability_bitwise,
     estimate_bit_statistics,
     predict_error_rate,
     statistics_from_distribution,
 )
-from repro.core.error_model import error_probability_exact
+from repro.core.error_model import (
+    error_probability_exact,
+    error_probability_windows,
+)
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.engine import EvalRequest, evaluate
 from repro.utils.distributions import GaussianOperands, SparseOperands, UniformOperands
+
+
+def _bitwise_error_probability(cfg, stats):
+    """The window chain under measured per-bit rates."""
+    return error_probability_windows(cfg.windows(), cfg.n, rates=stats.rates)
 
 
 def _measured_error_rate(adder, samples, seed, distribution):
@@ -60,29 +67,32 @@ class TestBitwiseProbability:
     def test_uniform_stats_reproduce_paper_model(self):
         for (n, r, p) in [(16, 2, 2), (16, 4, 4), (12, 4, 4), (20, 5, 5)]:
             cfg = GeArConfig(n, r, p)
-            assert error_probability_bitwise(
+            assert _bitwise_error_probability(
                 cfg, BitStatistics.uniform(n)
             ) == pytest.approx(error_probability_exact(cfg), abs=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            error_probability_bitwise(GeArConfig(16, 4, 4),
-                                      BitStatistics.uniform(8))
+            _bitwise_error_probability(GeArConfig(16, 4, 4),
+                                       BitStatistics.uniform(8))
+        with pytest.raises(ValueError):
+            predict_error_rate(GeArConfig(16, 4, 4), UniformOperands(8),
+                               samples=1000)
 
     def test_exact_config_zero(self):
-        assert error_probability_bitwise(
+        assert _bitwise_error_probability(
             GeArConfig(8, 4, 4), BitStatistics.uniform(8)
         ) == 0.0
 
     def test_zero_propagate_means_no_errors(self):
         # If no bit ever propagates, speculation cannot miss.
         stats = BitStatistics(generate=(0.5,) * 16, propagate=(0.0,) * 16)
-        assert error_probability_bitwise(GeArConfig(16, 4, 4), stats) == 0.0
+        assert _bitwise_error_probability(GeArConfig(16, 4, 4), stats) == 0.0
 
     def test_all_propagate_makes_error_generate_bound(self):
         # All-propagate operands never generate, so no carry ever exists.
         stats = BitStatistics(generate=(0.0,) * 16, propagate=(1.0,) * 16)
-        assert error_probability_bitwise(GeArConfig(16, 4, 4), stats) == 0.0
+        assert _bitwise_error_probability(GeArConfig(16, 4, 4), stats) == 0.0
 
 
 class TestPredictions:

@@ -27,6 +27,17 @@ class TestCommands:
         assert main(["info", "20", "3", "7"]) == 0
         assert "k=5" in capsys.readouterr().out
 
+    def test_info_long_window(self, capsys):
+        # L = 28: 2^28 window sums are too many to enumerate.
+        from repro.core.gear import GeArAdder, GeArConfig
+        from repro.engine.analytic import adder_error_pmf
+
+        assert main(["info", "32", "4", "24"]) == 0
+        out = capsys.readouterr().out
+        assert "mean error distance (analytic) : 7.5000" in out
+        pmf = adder_error_pmf(GeArAdder(GeArConfig(32, 4, 24)))
+        assert pmf.med == 7.5
+
     def test_sweep_no_hardware(self, capsys):
         assert main(["sweep", "10", "--r", "2", "--no-hardware"]) == 0
         out = capsys.readouterr().out

@@ -10,10 +10,10 @@ from repro.core.error_model import (
     error_probability_brute,
     error_probability_exact,
     accuracy_percentage,
+    error_probability_windows,
     max_error_distance,
     mean_error_distance_analytic,
-    mean_error_distance_paper_model,
-    mean_error_distance_upper_bound,
+    mean_error_distance_windows,
     normalized_error_distance_analytic,
     paper_error_probability,
 )
@@ -26,7 +26,10 @@ from repro.adders import (
     RippleCarryAdder,
 )
 from repro.core.gear import GeArAdder, GeArConfig
+from repro.engine.analytic import AnalyticUnsupported, adder_error_pmf
 from repro.metrics.exhaustive import exhaustive_error_probability, exhaustive_stats
+from repro.spec.catalog import SPEC_CATALOG
+from repro.spec.model import SpecAdder
 
 
 class TestErrorEvents:
@@ -149,8 +152,8 @@ class TestAccuracyPercentage:
 
     def test_exact_flag_agrees_with_model(self):
         cfg = GeArConfig(16, 1, 1)
-        assert accuracy_percentage(cfg, exact=True) == pytest.approx(
-            accuracy_percentage(cfg)
+        assert error_probability_exact(cfg) == pytest.approx(
+            error_probability(cfg)
         )
 
 
@@ -165,17 +168,6 @@ class TestErrorDistanceModels:
         assert mean_error_distance_analytic(cfg) == pytest.approx(
             stats.med, rel=1e-9
         )
-
-    def test_upper_bound_dominates(self):
-        for (n, r, p) in [(8, 1, 1), (12, 2, 2), (16, 4, 4)]:
-            cfg = GeArConfig(n, r, p)
-            assert mean_error_distance_upper_bound(cfg) >= \
-                mean_error_distance_analytic(cfg) - 1e-12
-
-    def test_paper_model_med_underestimates(self):
-        cfg = GeArConfig(8, 1, 1)
-        assert mean_error_distance_paper_model(cfg) <= \
-            mean_error_distance_analytic(cfg) + 1e-12
 
     def test_max_error_distance_tight_for_k2(self):
         cfg = GeArConfig(12, 4, 4)  # k = 2: bound is achieved
@@ -241,3 +233,56 @@ class TestPaperErrorProbability:
 
     def test_no_analytic_model_is_none(self):
         assert paper_error_probability(ErrorTolerantAdderI(8, 4)) is None
+
+
+def _plain_catalog_models(width):
+    """Every catalog family that the closed forms describe, at ``width``."""
+    models = []
+    for key, family in SPEC_CATALOG.items():
+        try:
+            spec = family(width)
+        except ValueError:
+            continue  # family undefined at this width
+        if not (spec.truncation or spec.uses_v2):
+            models.append(spec.to_model())
+    return models
+
+
+class TestClosedFormsAgainstPMF:
+    """The (carry, run) chain and the O(N) MED against the exact PMF."""
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_rates_chain_equals_pmf_under_independent_bits(self, width):
+        # Both operands share a ramp of one-probabilities α, so each bit
+        # generates with α² and propagates with 2α(1-α).
+        alpha = [0.2 + 0.6 * i / (width - 1) for i in range(width)]
+        rates = [(a * a, 2 * a * (1 - a)) for a in alpha]
+        models = _plain_catalog_models(width)
+        assert len(models) >= 10
+        for model in models:
+            chain = error_probability_windows(model.windows, width,
+                                              rates=rates)
+            pmf = adder_error_pmf(model, bit_one=alpha)
+            assert chain == pytest.approx(pmf.error_rate, abs=1e-12), \
+                model.name
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_med_equals_pmf_for_every_plain_family(self, width):
+        checked = 0
+        for model in _plain_catalog_models(width):
+            try:
+                pmf = adder_error_pmf(model)
+            except AnalyticUnsupported:
+                continue  # over the PMF's support cap
+            assert mean_error_distance_windows(model.windows, width) == \
+                pytest.approx(pmf.med, rel=1e-12, abs=1e-12), model.name
+            checked += 1
+        assert checked >= 10
+
+    def test_med_at_window_length_28_equals_pmf(self):
+        # Window length 28: 2^28 window sums are too many to enumerate.
+        model = GeArAdder(GeArConfig(32, 4, 24))
+        assert type(model) is SpecAdder
+        assert model.windows[-1].length == 28
+        assert model.mean_error_distance() == adder_error_pmf(model).med
+        assert model.mean_error_distance() == 7.5

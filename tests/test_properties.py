@@ -180,13 +180,12 @@ class TestAnalyticProperties:
     @given(gear_configs(max_n=20))
     @settings(max_examples=25)
     def test_bitwise_uniform_equals_exact(self, cfg):
-        from repro.core.bitwise_model import (
-            BitStatistics,
-            error_probability_bitwise,
-        )
+        from repro.core.bitwise_model import BitStatistics
+        from repro.core.error_model import error_probability_windows
 
+        rates = BitStatistics.uniform(cfg.n).rates
         assert abs(
-            error_probability_bitwise(cfg, BitStatistics.uniform(cfg.n))
+            error_probability_windows(cfg.windows(), cfg.n, rates=rates)
             - error_probability_exact(cfg)
         ) < 1e-12
 

@@ -21,6 +21,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.engine.analytic import adder_error_pmf
 from repro.spec import (
     AdderSpec,
     RectifiedSpecAdder,
@@ -247,7 +248,7 @@ class TestV2Behaviour:
         assert isinstance(model, RectifiedSpecAdder)
         for a, b in exhaustive_pairs(8):
             assert model.add(a, b) == a + b
-        pmf = spec.to_error_pmf()
+        pmf = adder_error_pmf(model)
         assert pmf.support == (0,)
         assert pmf.probabilities == (1.0,)
 
@@ -279,14 +280,14 @@ def brute_force_pmf(model, width):
     cesa_rect_spec(10, 2, 2), hoeraa_spec(6, 3),
 ], ids=lambda s: s.name)
 def test_analytic_pmf_is_exact(spec):
-    pmf = spec.to_error_pmf()
+    model = spec.to_model()
+    pmf = adder_error_pmf(model)
     analytic = dict(zip(pmf.support, pmf.probabilities))
-    observed = brute_force_pmf(spec.to_model(), spec.width)
+    observed = brute_force_pmf(model, spec.width)
     assert set(analytic) == set(observed)
     for err, p in observed.items():
         assert analytic[err] == pytest.approx(p, abs=1e-9)
-    terms = spec.to_error_terms()
-    assert max(abs(e) for e in analytic) <= terms.max_error_distance()
+    assert max(abs(e) for e in analytic) <= spec.max_error_distance()
 
 
 # ---------------------------------------------------------------------------
