@@ -27,7 +27,7 @@ SEED = 11
 REPEATS = 5
 
 # CI-safe ceiling: the ISSUE target is 2 %; same order, no extra headroom —
-# both sides share the vectorised WindowedSpeculativeAdder hot path, so the
+# both sides share the one vectorised SpecAdder hot path, so the
 # true gap is far below the limit.
 DISPATCH_LIMIT = 0.02
 

@@ -10,10 +10,11 @@ Baselines: RCA, CLA (exact); ACA-I [8]; ETAI, ETAII, ETAIIM [9];
 ACA-II [10]; GDA [13]; LOA [12].  The GeAr adder itself lives in
 :mod:`repro.core`.
 
-ACA-I, ACA-II, ETAII, ETAIIM, GDA and LOA are factories, not classes:
-each maps its family's parameters onto the catalog spec
-(:mod:`repro.spec.catalog`) and returns ``spec.to_model()`` under the
-paper's label.  The §3.1 coverage points (ACA-I = GeAr(N, 1, L-1),
+RCA, CLA, KSA, ACA-I, ACA-II, ETAII, ETAIIM, GDA and LOA are factories,
+not classes: each maps its family's parameters onto the catalog spec
+(:mod:`repro.spec.catalog`) and returns ``spec.to_model()`` — a
+:class:`~repro.spec.model.SpecAdder` — under the paper's label.  The
+§3.1 coverage points (ACA-I = GeAr(N, 1, L-1),
 ACA-II = ETAII = GeAr(N, L/2, L/2), GDA = GeAr(N, M_B, M_C) per §4.4)
 also carry their :class:`~repro.core.gear.GeArConfig` as ``config``.
 """
@@ -24,24 +25,50 @@ from repro.adders.base import (
     AdderModel,
     ExactAdder,
     IntLike,
-    SpeculativeWindow,
-    WindowedSpeculativeAdder,
     _validate_operand,
 )
-from repro.adders.rca import RippleCarryAdder
-from repro.adders.cla import CarryLookaheadAdder
 from repro.adders.etai import ErrorTolerantAdderI
-from repro.adders.prefix import CarrySelectAdder, CarrySkipAdder, KoggeStoneAdder
+from repro.adders.prefix import CarrySelectAdder, CarrySkipAdder
 from repro.core.gear import GeArConfig, labelled_model
 from repro.spec.catalog import (
     aca1_spec,
     aca2_spec,
     etaii_spec,
     etaiim_spec,
+    exact_spec,
     gda_spec,
     loa_spec,
 )
+from repro.spec.model import SpecAdder, require_windowed
 from repro.utils.bitvec import mask
+
+
+def RippleCarryAdder(width: int):
+    """Exact N-bit ripple-carry adder — the paper's exact benchmark
+    (Table I, RCA).
+
+    The carry chain spans all N bits, so this adder anchors the delay
+    comparison: every approximate adder must beat its critical path to be
+    worthwhile.
+    """
+    return labelled_model(exact_spec(width, "rca"), f"RCA(N={width})")
+
+
+def CarryLookaheadAdder(width: int):
+    """Exact N-bit single-level carry-lookahead adder.
+
+    Functionally identical to RCA; structurally it trades the serial carry
+    chain for wide AND-OR trees.  On FPGAs those trees map to general LUTs
+    rather than the dedicated carry chain, which is why GDA (whose
+    prediction units are CLAs) is *slower* than RCA in Table I — the
+    netlist compiled from the spec reproduces that inversion.
+    """
+    return labelled_model(exact_spec(width, "cla"), f"CLA(N={width})")
+
+
+def KoggeStoneAdder(width: int):
+    """Exact N-bit Kogge-Stone log-depth parallel-prefix adder."""
+    return labelled_model(exact_spec(width, "ksa"), f"KSA(N={width})")
 
 
 def AlmostCorrectAdder(width: int, sub_adder_len: int):
@@ -125,7 +152,7 @@ def LowerPartOrAdder(width: int, approx_bits: int):
                           f"LOA(N={width},approx={approx_bits})")
 
 
-def add_with_selects(adder: WindowedSpeculativeAdder, a: IntLike, b: IntLike,
+def add_with_selects(adder: SpecAdder, a: IntLike, b: IntLike,
                      accurate: Optional[Sequence[bool]] = None) -> IntLike:
     """Addition with per-block carry-source selection ([13]'s muxes).
 
@@ -136,8 +163,9 @@ def add_with_selects(adder: WindowedSpeculativeAdder, a: IntLike, b: IntLike,
     lookahead below the block boundary.
 
     Args:
-        adder: a windowed speculative adder, e.g. a
-            :func:`GracefullyDegradingAdder`.
+        adder: a speculative spec model, e.g. a
+            :func:`GracefullyDegradingAdder`; a spec with a fixed low part
+            (truncation or a static window) raises :class:`ValueError`.
         a, b: operands (scalars or integer arrays).
         accurate: one flag per block boundary (``len(adder.windows) - 1``
             entries, block 1 upward): True chains the true carry, False
@@ -149,6 +177,7 @@ def add_with_selects(adder: WindowedSpeculativeAdder, a: IntLike, b: IntLike,
     semantics.  All-accurate selects chain into the exact sum, and all
     approximate ones reproduce ``adder.add``.
     """
+    require_windowed(adder, "add_with_selects")
     a = _validate_operand("a", a, adder.width)
     b = _validate_operand("b", b, adder.width)
     windows = adder.windows
@@ -176,8 +205,6 @@ def add_with_selects(adder: WindowedSpeculativeAdder, a: IntLike, b: IntLike,
 __all__ = [
     "AdderModel",
     "ExactAdder",
-    "SpeculativeWindow",
-    "WindowedSpeculativeAdder",
     "RippleCarryAdder",
     "CarryLookaheadAdder",
     "AlmostCorrectAdder",

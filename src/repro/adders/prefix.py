@@ -1,12 +1,12 @@
-"""Exact parallel-prefix and block adders.
+"""Exact block adders the spec IR cannot express yet.
 
 The paper's §4.4 notes that GeAr is agnostic to its sub-adder
-implementation — on an ASIC a faster exact adder (e.g. a parallel-prefix
-design) can replace the ripple sub-adders.  These three classic exact
+implementation — on an ASIC a faster exact adder can replace the ripple
+sub-adders.  Kogge-Stone is a spec ``arch``
+(:func:`repro.adders.KoggeStoneAdder`); these two classic block
 architectures round out the baseline library and let the ablation benches
 compare FPGA-vs-ASIC-style structures:
 
-* :class:`KoggeStoneAdder` — log-depth parallel prefix,
 * :class:`CarrySelectAdder` — dual-ripple blocks with select muxes,
 * :class:`CarrySkipAdder` — ripple blocks with propagate bypass.
 """
@@ -14,22 +14,7 @@ compare FPGA-vs-ASIC-style structures:
 from __future__ import annotations
 
 from repro.adders.base import ExactAdder
-from repro.spec.catalog import exact_spec
 from repro.utils.validation import check_pos_int
-
-
-class KoggeStoneAdder(ExactAdder):
-    """Exact N-bit Kogge-Stone parallel-prefix adder."""
-
-    def __init__(self, width: int) -> None:
-        self.spec = exact_spec(width, "ksa")
-        super().__init__(width, f"KSA(N={width})")
-
-    def build_netlist(self):
-        return self.spec.to_netlist()
-
-    def fingerprint(self) -> str:
-        return self.spec.fingerprint()
 
 
 class CarrySelectAdder(ExactAdder):

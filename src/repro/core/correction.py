@@ -39,7 +39,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.adders.base import IntLike, WindowedSpeculativeAdder
+from repro.adders.base import IntLike
+from repro.spec.model import SpecAdder, require_windowed
 from repro.utils.bitvec import mask
 
 
@@ -65,8 +66,10 @@ class ErrorCorrector:
     """Iterative §3.3 error detection/correction around a windowed adder.
 
     Args:
-        adder: any :class:`WindowedSpeculativeAdder` (GeAr, ACA, ETAII, GDA
-            behavioural models all qualify).
+        adder: a speculative :class:`~repro.spec.model.SpecAdder` (GeAr,
+            ACA, ETAII, GDA models all qualify); a spec with a fixed low
+            part (truncation or a static window) raises
+            :class:`ValueError`.
         enabled: per-sub-adder enable mask for indices ``1..k-1`` (length
             ``k-1``); ``None`` enables every sub-adder (fully accurate
             results, the default).
@@ -74,9 +77,10 @@ class ErrorCorrector:
 
     def __init__(
         self,
-        adder: WindowedSpeculativeAdder,
+        adder: SpecAdder,
         enabled: Optional[Sequence[bool]] = None,
     ) -> None:
+        require_windowed(adder, "ErrorCorrector")
         self.adder = adder
         k = len(adder.windows)
         if enabled is None:

@@ -249,7 +249,7 @@ def error_probability_windows(
 ) -> float:
     """Exact ρ[Error] of an arbitrary windowed speculative adder.
 
-    Works from the actual :class:`SpeculativeWindow` geometry, so it covers
+    Works from the actual window geometry (``WindowSpec``), so it covers
     ETAIIM's fused segments and GDA's zero-anchored blocks as well as plain
     GeAr configurations.  Windows anchored at bit 0 see every lower bit and
     cannot err, so they contribute no check.
@@ -324,7 +324,7 @@ def mean_error_distance_windows(windows, n: int) -> float:
     The error is never negative, so its mean is the MED.
 
     Args:
-        windows: the adder's :class:`SpeculativeWindow` list.
+        windows: the adder's speculative ``WindowSpec`` layout.
         n: operand width.
     """
     carry = [0.0]  # c(q+1) = ρ[Gr] + ρ[Pr]·c(q)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.adders.base import SpeculativeWindow
+from repro.spec.ir import WindowSpec
 from repro.utils.validation import check_pos_int
 
 
@@ -83,15 +83,15 @@ class GeArConfig:
         """Sub-adders whose carry is predicted rather than propagated."""
         return self.k - 1
 
-    def windows(self) -> List[SpeculativeWindow]:
+    def windows(self) -> List[WindowSpec]:
         """The k sub-adder windows, lowest first.
 
         Window 0 covers ``[0, L-1]`` and drives all L bits.  Window ``i``
         covers ``[R·i, R·i + L - 1]`` and drives its top R bits, except that
         in partial mode the last window is anchored at ``high = N-1``.
         """
-        result: List[SpeculativeWindow] = [
-            SpeculativeWindow(low=0, high=self.L - 1, result_low=0, result_high=self.L - 1)
+        result: List[WindowSpec] = [
+            WindowSpec(low=0, high=self.L - 1, result_low=0, result_high=self.L - 1)
         ]
         for i in range(1, self.k):
             low = self.r * i
@@ -103,7 +103,7 @@ class GeArConfig:
                 low = high - self.L + 1
                 result_low = result[-1].result_high + 1
             result.append(
-                SpeculativeWindow(
+                WindowSpec(
                     low=low, high=high, result_low=result_low, result_high=high
                 )
             )

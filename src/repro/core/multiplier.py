@@ -18,7 +18,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.adders.base import AdderModel, IntLike
-from repro.adders.rca import RippleCarryAdder
 from repro.utils.bitvec import mask
 from repro.utils.validation import check_pos_int
 
@@ -113,4 +112,6 @@ def make_gear_multiplier(width: int, r: int, p: int) -> ApproximateMultiplier:
 
 def make_exact_multiplier(width: int) -> ApproximateMultiplier:
     """Reference multiplier reducing with an exact RCA."""
+    from repro.adders import RippleCarryAdder
+
     return ApproximateMultiplier(width, RippleCarryAdder(2 * width))

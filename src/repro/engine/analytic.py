@@ -2,9 +2,9 @@
 
 Every accuracy number in the repo can be obtained by simulation, but for
 pure *block-based* adders — those whose approximate sum is fully described
-by a window layout plus an optional OR-truncated low part, i.e. every
-:class:`~repro.spec.ir.AdderSpec` and every non-overridden
-:class:`~repro.adders.base.WindowedSpeculativeAdder` — the full signed
+by a window layout plus an optional OR-truncated low part, i.e. the
+:class:`~repro.spec.model.SpecAdder` of every
+:class:`~repro.spec.ir.AdderSpec` — the full signed
 error PMF is computable exactly in closed form (Wu, Li, Ge & Qian,
 arXiv 1703.03522).  The key observation is that the error of such an
 adder depends on the operands only through the per-bit generate /
@@ -238,8 +238,9 @@ def analytic_layout(
     indices of the windows whose flags are added back by a rectify stage
     (empty for none).  Returns ``None`` when the adder's arithmetic is
     not fully described by a window layout — i.e. when it overrides
-    ``_add_impl`` without exposing an :class:`~repro.spec.ir.AdderSpec`
-    (ETAI's segment OR, or any custom model).
+    ``_add_impl`` (ETAI's segment OR, or any custom model), including a
+    :class:`~repro.spec.model.SpecAdder` subclass.  Spec models answer
+    from ``adder.spec`` alone; non-spec models only when exact.
 
     Adders are immutable, so the answer is memoised on the instance —
     backend dispatch asks once to route the request and once to solve it.
@@ -248,36 +249,24 @@ def analytic_layout(
     if cached is not None:
         return cached[0]
 
-    from repro.adders.base import WindowedSpeculativeAdder
     from repro.spec.ir import AdderSpec
-    from repro.spec.model import RectifiedSpecAdder
+    from repro.spec.model import SpecAdder
 
     layout = None
-    if getattr(adder, "is_exact", False):
-        layout = (adder.width, (), 0, None, ())
-    else:
-        spec = getattr(adder, "spec", None)
-        if isinstance(spec, AdderSpec):
-            if spec.is_exact:
-                layout = (spec.width, (), 0, None, ())
-            else:
-                static = spec.static_window
-                if static is not None:
-                    layout = (spec.width, spec.to_windows()[1:],
-                              static.length, static.approx, ())
-                else:
-                    layout = (spec.width, spec.to_windows(),
-                              spec.truncation,
-                              "or" if spec.truncation else None,
-                              spec.rectified_windows())
-                # A model that overrides _add_impl beyond what the spec
-                # declares (subclasses of the spec models) is not covered.
-                if not isinstance(adder, RectifiedSpecAdder) \
-                        and spec.rectify is not None:
-                    layout = None
-        elif (isinstance(adder, WindowedSpeculativeAdder)
-                and type(adder)._add_impl is WindowedSpeculativeAdder._add_impl):
-            layout = (adder.width, tuple(adder.windows), 0, None, ())
+    spec = getattr(adder, "spec", None)
+    if not isinstance(spec, AdderSpec):
+        if getattr(adder, "is_exact", False):
+            layout = (adder.width, (), 0, None, ())
+    elif type(adder)._add_impl is SpecAdder._add_impl:
+        # (An override computes sums the spec does not declare.)
+        if spec.is_exact:
+            layout = (spec.width, (), 0, None, ())
+        else:
+            static = spec.static_window
+            kind = static.approx if static is not None else "or"
+            layout = (spec.width, spec.body, spec.low_bits,
+                      kind if spec.low_bits else None,
+                      spec.rectified_windows())
     try:
         adder._analytic_layout = (layout,)
     except (AttributeError, TypeError):  # slotted/frozen foreign models
@@ -439,9 +428,9 @@ def error_pmf(
 
     Args:
         width: operand width N.
-        windows: window layout (``WindowSpec`` or ``SpeculativeWindow``
-            objects — anything exposing low/high/result_low/result_high/
-            length/prediction_bits).
+        windows: window layout (``WindowSpec`` objects, or anything
+            exposing low/high/result_low/result_high/length/
+            prediction_bits).
         truncation: fixed-approximation low bits (LOA-style), 0 for none.
         bit_one: per-bit probability that an operand bit is one (the
             same profile applies to both operands, bits independent).

@@ -8,9 +8,9 @@ caching and telemetry plumbing, the backend owns the mathematics:
   fixed replay) that has always backed the engine.  Supports every
   request.
 * ``analytic`` — the exact error-PMF solver of
-  :mod:`repro.engine.analytic`.  Supports block-based adders (anything
-  carrying an :class:`~repro.spec.ir.AdderSpec`, plus non-overridden
-  :class:`~repro.adders.base.WindowedSpeculativeAdder` subclasses) in
+  :mod:`repro.engine.analytic`.  Supports block-based adders (the
+  :class:`~repro.spec.model.SpecAdder` of any
+  :class:`~repro.spec.ir.AdderSpec`, plus any exact model) in
   Monte-Carlo mode with a per-bit-independent distribution, or in
   exhaustive mode; ``fixed`` replay has no analytic form.
 * ``compiled`` — the same sharded simulator, but every sum computed by

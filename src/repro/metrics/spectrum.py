@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.adders.base import WindowedSpeculativeAdder
+from repro.spec.model import SpecAdder, require_windowed
 from repro.utils.bitvec import mask
 from repro.utils.distributions import OperandDistribution, UniformOperands
 from repro.utils.validation import check_pos_int
@@ -49,7 +49,7 @@ class ErrorSpectrum:
 
 
 def error_spectrum(
-    adder: WindowedSpeculativeAdder,
+    adder: SpecAdder,
     samples: int = 100_000,
     seed: int = 2015,
     distribution: Optional[OperandDistribution] = None,
@@ -59,8 +59,10 @@ def error_spectrum(
     Window attribution uses the exact miss indicator per window (true carry
     into the window differs from its local speculation); each miss of
     window *i* contributes ``2^{result_low_i}`` of (pre-cancellation) error
-    mass.
+    mass.  A spec with a fixed low part (truncation or a static window)
+    raises :class:`ValueError`: the attribution covers windows only.
     """
+    require_windowed(adder, "error_spectrum")
     check_pos_int("samples", samples)
     dist = distribution or UniformOperands(adder.width)
     a, b = dist.sample_pairs(samples, seed=seed)

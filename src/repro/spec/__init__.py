@@ -3,9 +3,9 @@
 One frozen, JSON-round-trippable :class:`AdderSpec` describes an adder —
 window geometry, per-window sub-adder architecture, carry-prediction
 style, optional LOA truncation — and compiles into every layer:
-``to_model()`` (behavioural, with EP/MED), ``to_netlist()`` (gate level,
-via the one generic window compiler) and ``fingerprint()`` (engine cache
-/ registry identity).  See ``docs/spec.md``.
+``to_model()`` (the one behavioural :class:`SpecAdder`, with EP/MED),
+``to_netlist()`` (gate level, via the one generic window compiler) and
+``fingerprint()`` (engine cache / registry identity).  See ``docs/spec.md``.
 """
 
 from repro.spec.catalog import (
@@ -38,11 +38,7 @@ from repro.spec.ir import (
     RectifySpec,
     WindowSpec,
 )
-from repro.spec.model import (
-    RectifiedSpecAdder,
-    SpecAdder,
-    StaticSpecAdder,
-)
+from repro.spec.model import SpecAdder
 
 __all__ = [
     "ARCHS",
@@ -55,9 +51,7 @@ __all__ = [
     "AdderSpec",
     "RectifySpec",
     "WindowSpec",
-    "RectifiedSpecAdder",
     "SpecAdder",
-    "StaticSpecAdder",
     "SPEC_CATALOG",
     "SpecFamily",
     "aca1_spec",

@@ -22,7 +22,7 @@ object into data:
 One spec compiles into each layer of the library:
 
 * :meth:`AdderSpec.to_model` — the behavioural/vectorised
-  :class:`~repro.adders.base.AdderModel`,
+  :class:`~repro.spec.model.SpecAdder`, the one model class of every spec,
 * :meth:`AdderSpec.to_netlist` — the gate-level netlist, through the one
   generic window compiler :func:`repro.rtl.builders.build_spec`,
 * :meth:`AdderSpec.max_error_distance` — the worst-case error bound
@@ -46,7 +46,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
-from repro.adders.base import SpeculativeWindow, validate_window_cover
 from repro.utils.validation import check_pos_int
 
 #: IR schema version, embedded in JSON documents and fingerprints.  A spec
@@ -92,11 +91,14 @@ _GEN_PREDS = ("gen_rca", "gen_cla")
 class WindowSpec:
     """One window of an :class:`AdderSpec`.
 
-    The geometry fields mirror :class:`~repro.adders.base.SpeculativeWindow`
-    (``low``/``high`` are the operand bits read, ``result_low``/
-    ``result_high`` the sum bits driven; ``result_low - low`` is the
-    carry-prediction depth).  ``arch`` selects the sub-adder implementation
-    and ``pred`` how the prediction bits are realised in hardware.
+    The geometry fields say which operand bits the window reads
+    (``low``/``high``) and which sum bits it drives (``result_low``/
+    ``result_high``); ``result_low - low`` is the carry-prediction depth.
+    The window adds ``A[high:low] + B[high:low]`` with carry-in 0 (or the
+    fixed low part's carry, for the first window above one) and drives
+    its local sum bits ``[result_low-low .. result_high-low]``.  ``arch``
+    selects the sub-adder implementation and ``pred`` how the prediction
+    bits are realised in hardware.
 
     ``kind`` distinguishes ordinary ``speculative`` windows from ``static``
     ones: a static window drives exactly the bits it reads with the fixed
@@ -194,11 +196,6 @@ class WindowSpec:
     def is_static(self) -> bool:
         """True for a fixed-approximation (non-speculative) window."""
         return self.kind == "static"
-
-    def to_window(self) -> SpeculativeWindow:
-        """The plain behavioural-geometry view of this window."""
-        return SpeculativeWindow(self.low, self.high,
-                                 self.result_low, self.result_high)
 
     def to_dict(self) -> Dict[str, Any]:
         data = {"low": self.low, "high": self.high,
@@ -338,24 +335,27 @@ class AdderSpec:
                     "a static window needs at least one speculative window "
                     "above it"
                 )
-        # Validation of the speculative body runs in window coordinates
-        # shifted down by the approximated low part (truncation or static
-        # window), reusing the one validator every behavioural window
-        # layout already goes through.
-        body = self.windows[1:] if static else self.windows
-        boundary = static.length if static else t
+        body = self.body
+        boundary = self.low_bits
         if min(w.low for w in body) < boundary:
             where = "static" if static else "truncation"
             raise ValueError(
                 f"windows must not read below the {where} boundary {boundary}"
             )
-        validate_window_cover(
-            [SpeculativeWindow(w.low - boundary, w.high - boundary,
-                               w.result_low - boundary,
-                               w.result_high - boundary)
-             for w in body],
-            self.width - boundary,
-        )
+        expected_low = boundary
+        for i, w in enumerate(body):
+            if w.result_low != expected_low:
+                raise ValueError(
+                    f"window {i} drives bits from {w.result_low}, "
+                    f"expected {expected_low}"
+                )
+            if w.high >= self.width:
+                raise ValueError(f"window {i} reads bit {w.high} beyond "
+                                 f"width {self.width}")
+            expected_low = w.result_high + 1
+        if expected_low != self.width:
+            raise ValueError(f"windows drive bits up to {expected_low - 1}, "
+                             f"need {self.width - 1}")
         first = body[0]
         if first.prediction_bits != 0:
             raise ValueError("the first window must not predict a carry")
@@ -519,6 +519,18 @@ class AdderSpec:
         return first if first.is_static else None
 
     @property
+    def low_bits(self) -> int:
+        """Bits of the fixed low part (truncation or static window), or 0."""
+        static = self.static_window
+        return static.length if static is not None else self.truncation
+
+    @property
+    def body(self) -> Tuple[WindowSpec, ...]:
+        """The speculative windows: every window above the fixed low part."""
+        return self.windows[1:] if self.static_window is not None \
+            else self.windows
+
+    @property
     def uses_v2(self) -> bool:
         """True when the spec needs a version-2 document/fingerprint."""
         return self.static_window is not None or self.rectify is not None
@@ -556,15 +568,10 @@ class AdderSpec:
     # -- compilers ----------------------------------------------------------
 
     def to_model(self):
-        """Behavioural/vectorised :class:`~repro.adders.base.AdderModel`."""
-        from repro.spec.model import (RectifiedSpecAdder, SpecAdder,
-                                      StaticSpecAdder)
+        """Behavioural/vectorised :class:`~repro.spec.model.SpecAdder`."""
+        from repro.spec.model import SpecAdder
 
         with obs.span("spec.to_model"):
-            if self.rectify is not None:
-                return RectifiedSpecAdder(self)
-            if self.truncation or self.static_window is not None:
-                return StaticSpecAdder(self)
             return SpecAdder(self)
 
     def to_netlist(self):
@@ -573,10 +580,6 @@ class AdderSpec:
 
         with obs.span("spec.to_netlist"):
             return build_spec(self)
-
-    def to_windows(self) -> Tuple[SpeculativeWindow, ...]:
-        """The behavioural window layout (absolute bit coordinates)."""
-        return tuple(w.to_window() for w in self.windows)
 
     def max_error_distance(self) -> int:
         """Upper bound on ``|approx - exact|`` over all operand pairs.
@@ -591,17 +594,16 @@ class AdderSpec:
         bit cancels the boundary terms, leaving at most ``2**t - 1``.
         """
         static = self.static_window
-        t = static.length if static is not None else self.truncation
+        t = self.low_bits
         if not t:
             bound = 0
         elif static is not None and static.approx == "hoeraa":
             bound = (1 << t) - 1
         else:
             bound = (1 << (t + 1)) - 1
-        body = self.windows[1:] if static is not None else self.windows
         rectified = set(self.rectified_windows())
         return bound + sum(1 << w.result_low
-                           for i, w in enumerate(body[1:], start=1)
+                           for i, w in enumerate(self.body[1:], start=1)
                            if w.low > 0 and i not in rectified)
 
     @property

@@ -1,157 +1,181 @@
-"""Behavioural models compiled from :class:`~repro.spec.ir.AdderSpec`.
+"""The behavioural model compiled from an :class:`~repro.spec.ir.AdderSpec`.
 
-:class:`SpecAdder` covers every plain speculative spec by riding the
-shared :class:`~repro.adders.base.WindowedSpeculativeAdder` machinery —
-the vectorised windowed sum, §3.3 detection flags, and the closed-form
-EP/MED of :mod:`repro.core.error_model` — so a heterogeneous layout needs
-zero family-specific code.  :class:`StaticSpecAdder` adds the fixed low
-part (LOA's OR truncation or a version-2 static window, including
-HOERAA's half-adder top bit); :class:`RectifiedSpecAdder` applies the
-declared rectification stage on top of the speculative sum.  Those two
-have no closed form: their EP/MED reduce the exact error PMF of
-:func:`repro.engine.analytic.adder_error_pmf`.
+:class:`SpecAdder` is the one model class of every spec — GeAr,
+ACA-I/II, ETAII(M), GDA, LOA, HOERAA, the rectified and the exact
+adders are all factories returning one.  Its sum is computed in three
+steps, each present only when the spec declares it:
 
-All of them delegate ``build_netlist``/``fingerprint`` back to the spec,
-so the behavioural, gate-level and analytic layers of one spec always
-agree on identity and structure.
+* the fixed low part — LOA's OR truncation or a version-2 static window
+  (``or``, or ``hoeraa`` with a half-adder top bit) — whose top bit's
+  ``a & b`` is the carry into the first speculative window,
+* the speculative windows (:attr:`SpecAdder.windows`, the spec's
+  :attr:`~repro.spec.ir.AdderSpec.body`),
+* the rectify stage, adding each enabled window's §3.3 flag back at its
+  ``result_low``.
+
+EP/MED of a plain layout come from the closed-form chain of
+:mod:`repro.core.error_model`; a fixed low part or a rectify stage falls
+outside it, so those reduce the exact error PMF of
+:func:`repro.engine.analytic.adder_error_pmf`.  ``build_netlist`` and
+``fingerprint`` delegate to the spec, so the behavioural, gate-level and
+analytic layers of one spec always agree on identity and structure.
 """
 
 from __future__ import annotations
 
-from repro.adders.base import AdderModel, IntLike, WindowedSpeculativeAdder
+from typing import List
+
+import numpy as np
+
+from repro.adders.base import AdderModel, IntLike, _validate_operand
 from repro.spec.ir import AdderSpec
 from repro.utils.bitvec import mask
 
 
-class SpecAdder(WindowedSpeculativeAdder):
-    """The behavioural model of a plain speculative :class:`AdderSpec`."""
+def require_windowed(adder, what: str) -> None:
+    """Reject an adder whose sum ``adder.windows`` does not describe.
+
+    A spec with a fixed low part computes its low bits outside the
+    speculative windows, so ``what`` — anything that rebuilds a sum or a
+    flag from ``adder.windows`` alone — would silently drop them.
+    """
+    spec = getattr(adder, "spec", None)
+    if isinstance(spec, AdderSpec) and spec.low_bits:
+        raise ValueError(
+            f"{what} rebuilds sums from the speculative windows; "
+            f"{adder.name!r} has a {spec.low_bits}-bit fixed low part "
+            "they do not cover")
+
+
+class SpecAdder(AdderModel):
+    """The behavioural model of an :class:`AdderSpec`.
+
+    Each window adds ``A[high:low] + B[high:low]`` and contributes its
+    local sum bits ``[result_low-low .. result_high-low]``; the final carry
+    out (bit ``width``) is the last window's local carry out — speculative,
+    exactly like the hardware.  The first window above a fixed low part
+    receives ``a & b`` of the part's top bit as carry-in; later windows
+    speculate on raw operand bits only, matching the compiled hardware
+    where predictors tap the operand inputs directly.
+    """
 
     def __init__(self, spec: AdderSpec) -> None:
-        if spec.truncation or spec.static_window is not None:
-            raise ValueError(
-                "SpecAdder models plain speculative specs; "
-                "use StaticSpecAdder (or spec.to_model())"
-            )
+        super().__init__(spec.width, spec.name)
         self.spec = spec
-        super().__init__(spec.width, spec.name, spec.to_windows())
+        self.windows = spec.body
+        static = spec.static_window
+        self._low_bits = spec.low_bits
+        self._hoeraa = static is not None and static.approx == "hoeraa"
+        self._rectified = spec.rectified_windows()
+        self._plain = not self._low_bits and not self._rectified
+        self._exact = spec.is_exact
 
     @property
     def is_exact(self) -> bool:
-        return self.spec.is_exact
-
-    def max_error_distance(self) -> int:
-        return self.spec.max_error_distance()
-
-    def build_netlist(self):
-        return self.spec.to_netlist()
-
-    def fingerprint(self) -> str:
-        return self.spec.fingerprint()
-
-
-class RectifiedSpecAdder(SpecAdder):
-    """A spec adder with its declared rectification stage applied.
-
-    The rectified sum adds each enabled window's §3.3 flag back at that
-    window's ``result_low`` (masked to the N+1 output bits, matching the
-    netlist stage that discards the final ripple carry — which provably
-    never fires: rectification only cancels negative miss errors, so the
-    corrected sum never exceeds ``a + b``).  With every speculative
-    window enabled the result is exact; with a subset, exactly the
-    disabled windows' error events remain.
-
-    EP/MED have no closed window-DP form under rectification, so they
-    reduce the exact analytic PMF instead; max-ED comes from the spec
-    (enabled windows contribute nothing).
-    """
-
-    def __init__(self, spec: AdderSpec) -> None:
-        if spec.rectify is None:
-            raise ValueError("RectifiedSpecAdder needs a spec with a "
-                             "rectify stage")
-        super().__init__(spec)
-        self._rectified = spec.rectified_windows()
+        return self._exact
 
     def _add_impl(self, a: IntLike, b: IntLike) -> IntLike:
-        raw = super()._add_impl(a, b)
-        flags = self.detection_flags(a, b)
-        for i in self._rectified:
-            raw = raw + (flags[i] << self.windows[i].result_low)
-        return raw & mask(self.width + 1)
-
-    def error_probability(self) -> float:
-        from repro.engine.analytic import adder_error_pmf
-
-        return adder_error_pmf(self).error_rate
-
-    def mean_error_distance(self) -> float:
-        from repro.engine.analytic import adder_error_pmf
-
-        return adder_error_pmf(self).med
-
-
-class StaticSpecAdder(AdderModel):
-    """Behavioural model of a spec with a fixed (non-speculative) low part.
-
-    Covers both spellings: version-1 ``truncation`` (the low ``t`` sum
-    bits are ``a | b``) and version-2 static windows, where ``approx``
-    picks the gate rule — ``or`` is the same LOA reduction, ``hoeraa``
-    keeps OR below the top static bit and computes that bit as the
-    half-adder sum ``a ^ b``.  Either way the speculative part receives
-    ``a & b`` of the top static bit as carry-in (exactly the LOA rule of
-    [12]).  Later windows speculate on raw operand bits only — the
-    approximated carry at the boundary is invisible to them, matching
-    the compiled hardware where predictors tap the operand inputs
-    directly.
-
-    Not a :class:`WindowedSpeculativeAdder`: the fixed part falls outside
-    the carry-speculation error model, so the closed-form EP/MED
-    analytics (and the §3.3 detection flags) are deliberately not
-    exposed; the exact analytic PMF covers these specs instead.
-    """
-
-    def __init__(self, spec: AdderSpec) -> None:
-        static = spec.static_window
-        if not spec.truncation and static is None:
-            raise ValueError("StaticSpecAdder needs a truncated spec or a "
-                             "static window")
-        self.spec = spec
-        self.truncation = spec.truncation or static.length
-        self.static_kind = "or" if spec.truncation else static.approx
-        super().__init__(spec.width, spec.name)
-        windows = spec.to_windows()
-        self.windows = windows[1:] if static is not None else windows
-
-    def _add_impl(self, a: IntLike, b: IntLike) -> IntLike:
-        t = self.truncation
-        result: IntLike = (a | b) & mask(t)
-        if self.static_kind == "hoeraa":
-            # HOERAA: the top static bit is a half-adder sum, not an OR.
-            top = ((a ^ b) >> (t - 1)) & 1
-            result = (result & mask(t - 1)) | (top << (t - 1))
-        carry_in = (a >> (t - 1)) & (b >> (t - 1)) & 1
+        if self._exact:
+            # One window over the whole word: its local sum is a + b.
+            return a + b
+        t = self._low_bits
+        result: IntLike = 0
+        if t:
+            result = (a | b) & mask(t)
+            if self._hoeraa:
+                # HOERAA: the top static bit is a half-adder sum, not an OR.
+                top = ((a ^ b) >> (t - 1)) & 1
+                result = (result & mask(t - 1)) | (top << (t - 1))
         local: IntLike = 0
         for i, w in enumerate(self.windows):
             wmask = mask(w.length)
             local = ((a >> w.low) & wmask) + ((b >> w.low) & wmask)
-            if i == 0:
-                local = local + carry_in
+            if t and i == 0:
+                local = local + ((a >> (t - 1)) & (b >> (t - 1)) & 1)
             field = (local >> w.prediction_bits) & mask(w.result_bits)
             result = result | (field << w.result_low)
         carry_out = (local >> self.windows[-1].length) & 1
-        return result | (carry_out << self.width)
+        result = result | (carry_out << self.width)
+        if self._rectified:
+            # The rectified sum never exceeds a + b (rectification only
+            # cancels negative misses), so the masked-off ripple carry of
+            # the netlist stage never fires.
+            flags = self._flags(a, b)
+            for i in self._rectified:
+                result = result + (flags[i] << self.windows[i].result_low)
+            result = result & mask(self.width + 1)
+        return result
+
+    def _flags(self, a: IntLike, b: IntLike) -> List[IntLike]:
+        flags: List[IntLike] = []
+        prev_cout: IntLike = 0
+        for i, w in enumerate(self.windows):
+            wmask = mask(w.length)
+            local = ((a >> w.low) & wmask) + ((b >> w.low) & wmask)
+            cout = (local >> w.length) & 1
+            if i == 0:
+                flags.append(a * 0 if isinstance(a, np.ndarray) else 0)
+            else:
+                p = w.prediction_bits
+                prop = ((a >> w.low) ^ (b >> w.low)) & mask(p)
+                all_prop = (prop == mask(p)) if p else (prop == prop)
+                if isinstance(all_prop, np.ndarray):
+                    flags.append((all_prop.astype(np.int64)) & prev_cout)
+                else:
+                    flags.append(int(all_prop) & int(prev_cout))
+            prev_cout = cout
+        return flags
+
+    def detection_flags(self, a: IntLike, b: IntLike) -> List[IntLike]:
+        """§3.3 error-detection flag per speculative window.
+
+        Flag ``i`` (for window index ``i >= 1``) is
+        ``AND(propagate over the window's P bits) & carry_out(window i-1)``
+        where the previous carry out is the *local speculative* one, exactly
+        as the hardware AND gate sees it.  Entry 0 is always 0.  Raises
+        :class:`ValueError` for a spec with a fixed low part.
+        """
+        if self._low_bits:
+            require_windowed(self, "detection_flags")
+        a = _validate_operand("a", a, self.width)
+        b = _validate_operand("b", b, self.width)
+        return self._flags(a, b)
 
     def error_probability(self) -> float:
+        """Exact error probability for uniform operands.
+
+        The closed-form (carry, run) chain
+        (:func:`repro.core.error_model.error_probability_windows`) for a
+        plain layout; the exact analytic PMF otherwise.  The paper's Eq. 5-7
+        value for a GeAr point is
+        :func:`repro.core.error_model.paper_error_probability`.
+        """
+        if self._plain:
+            from repro.core.error_model import error_probability_windows
+
+            return error_probability_windows(self.windows, self.width)
         from repro.engine.analytic import adder_error_pmf
 
         return adder_error_pmf(self).error_rate
 
     def mean_error_distance(self) -> float:
+        """Exact E[|approx - exact|] for uniform operands.
+
+        The O(N) wrap-identity expectation
+        (:func:`repro.core.error_model.mean_error_distance_windows`) for a
+        plain layout; the exact analytic PMF otherwise.
+        """
+        if self._plain:
+            from repro.core.error_model import mean_error_distance_windows
+
+            return mean_error_distance_windows(self.windows, self.width)
         from repro.engine.analytic import adder_error_pmf
 
         return adder_error_pmf(self).med
 
     def max_error_distance(self) -> int:
+        """Worst-case ``|approx - exact|`` (see
+        :meth:`~repro.spec.ir.AdderSpec.max_error_distance`)."""
         return self.spec.max_error_distance()
 
     def build_netlist(self):
@@ -159,4 +183,3 @@ class StaticSpecAdder(AdderModel):
 
     def fingerprint(self) -> str:
         return self.spec.fingerprint()
-

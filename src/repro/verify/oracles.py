@@ -36,7 +36,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.adders.base import AdderModel, WindowedSpeculativeAdder
+from repro.adders.base import AdderModel
 from repro.metrics.confidence import wilson_interval
 from repro.rtl.compile import compile_netlist
 from repro.rtl.equivalence import check_equivalence
@@ -72,7 +72,9 @@ MAX_SCALAR_PROBES = 4096
 def _flags_word(model: AdderModel, a, b) -> Optional[object]:
     """Pack ``detection_flags`` (entries 1..k-1) into an ERR-bus word."""
     flags_fn = getattr(model, "detection_flags", None)
-    if not callable(flags_fn):
+    spec = getattr(model, "spec", None)
+    if not callable(flags_fn) or (spec is not None and spec.low_bits):
+        # The §3.3 flags do not cover a fixed low part (they raise).
         return None
     flags = flags_fn(a, b)
     word = None
@@ -81,6 +83,12 @@ def _flags_word(model: AdderModel, a, b) -> Optional[object]:
                         if isinstance(flag, np.ndarray) else int(flag) << i)
         word = contribution if word is None else word | contribution
     return word
+
+
+def _plain_spec(model: AdderModel) -> bool:
+    """A spec model with neither a fixed low part nor a rectify stage."""
+    spec = getattr(model, "spec", None)
+    return spec is not None and not spec.low_bits and spec.rectify is None
 
 
 def _first_mismatch(expected: np.ndarray, got: np.ndarray) -> Optional[int]:
@@ -367,10 +375,11 @@ def check_stats(model: AdderModel, engine=None,
             failures.append(
                 f"observed max ED {stats.max_ed_observed} exceeds the "
                 f"analytic bound {bound}")
-        elif (exhaustive and isinstance(model, WindowedSpeculativeAdder)
+        elif (exhaustive and _plain_spec(model)
               and len(model.windows) == 2 and model.windows[1].low > 0
               and stats.max_ed_observed != bound):
-            # k = 2: the bound is documented tight — demand attainment.
+            # k = 2 plain layout: the bound is documented tight — demand
+            # attainment.
             failures.append(
                 f"k=2 max ED bound {bound} not attained "
                 f"(observed {stats.max_ed_observed})")

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.adders.base import (
-    SpeculativeWindow,
-    WindowedSpeculativeAdder,
-    validate_window_cover,
-)
-from repro.adders.rca import RippleCarryAdder
-from repro.adders.cla import CarryLookaheadAdder
+from repro.adders import CarryLookaheadAdder, RippleCarryAdder
+from repro.spec import AdderSpec, SpecAdder, WindowSpec
 from tests.conftest import random_pairs
+
+
+def _cover(windows, width=8):
+    """Build a spec over ``(low, high, result_low, result_high)`` tuples."""
+    return AdderSpec("hand", width, tuple(WindowSpec(*w) for w in windows))
 
 
 class TestExactAdders:
@@ -67,54 +67,41 @@ class TestOperandValidation:
 
 class TestSpeculativeWindow:
     def test_properties(self):
-        w = SpeculativeWindow(low=4, high=11, result_low=8, result_high=11)
+        w = WindowSpec(low=4, high=11, result_low=8, result_high=11)
         assert w.length == 8
         assert w.prediction_bits == 4
         assert w.result_bits == 4
 
     def test_inconsistent_rejected(self):
         with pytest.raises(ValueError):
-            SpeculativeWindow(low=4, high=3, result_low=4, result_high=3)
+            WindowSpec(low=4, high=3, result_low=4, result_high=3)
         with pytest.raises(ValueError):
-            SpeculativeWindow(low=4, high=11, result_low=2, result_high=11)
+            WindowSpec(low=4, high=11, result_low=2, result_high=11)
 
     def test_cover_validation_gap(self):
-        windows = [
-            SpeculativeWindow(0, 3, 0, 3),
-            SpeculativeWindow(2, 7, 6, 7),  # leaves bits 4..5 undriven
-        ]
-        with pytest.raises(ValueError):
-            validate_window_cover(windows, 8)
+        with pytest.raises(ValueError, match="drives bits from 6"):
+            _cover([(0, 3, 0, 3), (2, 7, 6, 7)])  # bits 4..5 undriven
 
     def test_cover_validation_short(self):
-        windows = [SpeculativeWindow(0, 3, 0, 3)]
-        with pytest.raises(ValueError):
-            validate_window_cover(windows, 8)
+        with pytest.raises(ValueError, match="up to 3, need 7"):
+            _cover([(0, 3, 0, 3)])
 
     def test_cover_validation_overflow(self):
-        windows = [SpeculativeWindow(0, 8, 0, 8)]
-        with pytest.raises(ValueError):
-            validate_window_cover(windows, 8)
+        with pytest.raises(ValueError, match="beyond width 8"):
+            _cover([(0, 8, 0, 8)])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            validate_window_cover([], 8)
+        with pytest.raises(ValueError, match="at least one window"):
+            _cover([])
 
 
 class TestWindowedAdder:
     def _adder(self):
         # Hand-built GeAr(8,2,2)-equivalent windows.
-        windows = [
-            SpeculativeWindow(0, 3, 0, 3),
-            SpeculativeWindow(2, 5, 4, 5),
-            SpeculativeWindow(4, 7, 6, 7),
-        ]
-        return WindowedSpeculativeAdder(8, "hand", windows)
+        return SpecAdder(_cover([(0, 3, 0, 3), (2, 5, 4, 5), (4, 7, 6, 7)]))
 
     def test_single_window_is_exact(self):
-        adder = WindowedSpeculativeAdder(
-            8, "exact", [SpeculativeWindow(0, 7, 0, 7)]
-        )
+        adder = SpecAdder(_cover([(0, 7, 0, 7)]))
         a, b = random_pairs(8, 200, seed=4)
         np.testing.assert_array_equal(adder.add(a, b), a + b)
 

@@ -168,10 +168,21 @@ def test_non_block_based_adder_is_unsupported():
         adder_error_pmf(ErrorTolerantAdderI(8, split=4))
 
 
+def test_spec_model_overriding_add_impl_is_unsupported():
+    from repro.spec.model import SpecAdder
+
+    class Inverted(SpecAdder):
+        def _add_impl(self, a, b):
+            return super()._add_impl(a, b) ^ 1
+
+    with pytest.raises(AnalyticUnsupported):
+        adder_error_pmf(Inverted(catalog_spec("gear_r2p2", 8)))
+
+
 def test_support_cap_raises_cleanly():
     spec = catalog_spec("hetero", 10)
     with pytest.raises(AnalyticUnsupported):
-        error_pmf(spec.width, spec.to_windows(), truncation=spec.truncation,
+        error_pmf(spec.width, spec.windows, truncation=spec.truncation,
                   max_support=2)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adders.rca import RippleCarryAdder
+from repro.adders import RippleCarryAdder
 from repro.apps.images import natural_image
 from repro.apps.integral import (
     accumulate,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adders.rca import RippleCarryAdder
+from repro.adders import RippleCarryAdder
 from repro.apps.images import gradient_image, natural_image
 from repro.apps.lpf import binomial_kernel_3x3, low_pass_filter
 from repro.core.gear import GeArAdder, GeArConfig

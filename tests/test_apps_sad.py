@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adders.rca import RippleCarryAdder
+from repro.adders import RippleCarryAdder
 from repro.apps.images import moving_block_pair, natural_image
 from repro.apps.sad import motion_search, sad, sad_map
 from repro.core.gear import GeArAdder, GeArConfig

@@ -80,7 +80,7 @@ class TestHelpers:
         assert expected_error_estimate(bound, None) is None
 
     def test_exact_adder_bound_is_zero(self):
-        from repro.adders.rca import RippleCarryAdder
+        from repro.adders import RippleCarryAdder
 
         assert integral_row_bound(RippleCarryAdder(16), 100).worst_case == 0
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adders.rca import RippleCarryAdder
+from repro.adders import RippleCarryAdder
 from repro.apps.boxfilter import (
     box_filter_mean,
     box_filter_sums,

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.adders import GracefullyDegradingAdder
+from repro.adders import GracefullyDegradingAdder, add_with_selects
 from repro.core.correction import ErrorCorrector
 from repro.core.gear import GeArAdder, GeArConfig
+from repro.metrics.spectrum import error_spectrum
+from repro.spec.catalog import catalog_spec
 from tests.conftest import random_pairs
 
 
@@ -161,3 +163,38 @@ class TestInterface:
         adder = GeArAdder(GeArConfig(8, 2, 2))
         result = ErrorCorrector(adder).add(np.array([1, 2, 3]), 5)
         np.testing.assert_array_equal(result.value, [6, 7, 8])
+
+
+class TestFixedLowPart:
+    """Window-rebuilding helpers refuse specs with a fixed low part.
+
+    LOA's OR bits and a static window sit below ``adder.windows``; a sum
+    rebuilt from the windows alone would drop them (300 becomes 288 for
+    ``200 + 100`` at N=8), so every such entry point raises instead.
+    """
+
+    FAMILIES = ["loa_half", "loa_static", "hoeraa"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_model_keeps_the_low_bits(self, family):
+        assert catalog_spec(family, 8).to_model().add(200, 100) == 300
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_error_corrector_rejects(self, family):
+        with pytest.raises(ValueError, match="fixed low part"):
+            ErrorCorrector(catalog_spec(family, 8).to_model())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_add_with_selects_rejects(self, family):
+        with pytest.raises(ValueError, match="fixed low part"):
+            add_with_selects(catalog_spec(family, 8).to_model(), 200, 100)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_error_spectrum_rejects(self, family):
+        with pytest.raises(ValueError, match="fixed low part"):
+            error_spectrum(catalog_spec(family, 8).to_model(), samples=16)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_detection_flags_rejects(self, family):
+        with pytest.raises(ValueError, match="fixed low part"):
+            catalog_spec(family, 8).to_model().detection_flags(200, 100)

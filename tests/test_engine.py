@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.adders.rca import RippleCarryAdder
+from repro.adders import RippleCarryAdder
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.engine import (
     DEFAULT_SHARD_SAMPLES,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adders.rca import RippleCarryAdder
+from repro.adders import RippleCarryAdder
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.metrics.error_metrics import (
     TABLE1_MAA_THRESHOLDS,

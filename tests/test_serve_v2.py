@@ -11,7 +11,7 @@ share an ``/eval`` leader, even when every other wire field matches.
 import pytest
 
 from repro.serve import protocol
-from repro.spec import RectifiedSpecAdder, StaticSpecAdder
+from repro.spec import SpecAdder
 from repro.spec.catalog import (
     catalog_spec,
     cesa_rect_spec,
@@ -25,14 +25,11 @@ from repro.spec.catalog import (
 # adder-reference resolution
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("family, model_type", [
-    ("cesa_rect", RectifiedSpecAdder),
-    ("hoeraa", StaticSpecAdder),
-    ("loa_static", StaticSpecAdder),
-])
-def test_new_families_resolve_by_reference(family, model_type):
+@pytest.mark.parametrize("family", ["cesa_rect", "hoeraa", "loa_static"])
+def test_new_families_resolve_by_reference(family):
     adder = protocol.resolve_adder({"family": family, "width": 8})
-    assert isinstance(adder, model_type)
+    assert type(adder) is SpecAdder
+    assert adder.spec == catalog_spec(family, 8)
     assert adder.width == 8
     assert adder.fingerprint() == catalog_spec(family, 8).to_model().fingerprint()
 
@@ -77,7 +74,7 @@ def test_rectified_twin_never_coalesces_with_base():
                      name=rect.name)
     # Identical name, width and window geometry; only the declared
     # rectify stage differs — and so must the request digest.
-    assert twin.to_windows() == rect.to_windows()
+    assert twin.windows == rect.windows
     rect_key, twin_key = _eval_key(rect), _eval_key(twin)
     assert rect_key is not None and twin_key is not None
     assert rect_key != twin_key

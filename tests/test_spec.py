@@ -125,7 +125,6 @@ class TestFingerprint:
         other = spec.renamed(spec.name + "_alias")
         assert other.fingerprint() != spec.fingerprint()
         assert other.windows == spec.windows
-        assert other.to_windows() == spec.to_windows()
 
     def test_catalog_fingerprints_distinct_at_common_width(self):
         width = 16

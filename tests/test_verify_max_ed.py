@@ -1,6 +1,6 @@
 """Max-error-distance bound tightness (satellite of ISSUE 3).
 
-``WindowedSpeculativeAdder.max_error_distance()`` returns
+``SpecAdder.max_error_distance()`` returns
 ``sum(2**w.result_low)`` over the speculative windows — documented as the
 *attained* maximum for k = 2 and an upper bound (worst case assumes every
 window misses at once) for k > 2.  These tests pin both claims against

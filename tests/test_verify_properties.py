@@ -1,6 +1,6 @@
 """Property tests: scalar vs NumPy code-path agreement (satellite of ISSUE 3).
 
-:class:`~repro.adders.base.WindowedSpeculativeAdder` implements every
+:class:`~repro.spec.model.SpecAdder` implements every
 public method twice — a scalar branch for Python ints and a vectorised
 branch for ndarrays.  Hypothesis draws random window geometries across all
 windowed families (GeAr, ACA-I, ETAII, ETAIIM, GDA) and random operand
