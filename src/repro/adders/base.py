@@ -28,6 +28,10 @@ IntLike = Union[int, np.ndarray]
 
 
 def _validate_operand(name: str, value: IntLike, width: int) -> IntLike:
+    if type(value) is int:  # the scalar hot path; bool takes the long way
+        if 0 <= value and not value >> width:
+            return value
+        raise ValueError(f"{name}={value} does not fit in {width} bits")
     limit = mask(width)
     if isinstance(value, np.ndarray):
         if not np.issubdtype(value.dtype, np.integer):
@@ -70,7 +74,9 @@ class AdderModel(abc.ABC):
 
     def error_distance(self, a: IntLike, b: IntLike) -> IntLike:
         """``|approximate - exact|`` per operand pair."""
-        diff = self.add(a, b) - self.add_exact(a, b)
+        a = _validate_operand("a", a, self.width)
+        b = _validate_operand("b", b, self.width)
+        diff = self._add_impl(a, b) - (a + b)
         return np.abs(diff) if isinstance(diff, np.ndarray) else abs(diff)
 
     # -- optional capabilities ----------------------------------------------

@@ -111,13 +111,9 @@ class EvalRequest:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.backend != AUTO_BACKEND:
-            from repro.engine.backends import BACKENDS
+        from repro.engine.backends import check_backend_name
 
-            if self.backend not in BACKENDS:
-                known = (*sorted(BACKENDS), AUTO_BACKEND)
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; expected one of {known}")
+        check_backend_name(self.backend)
         object.__setattr__(self, "maa_thresholds", tuple(self.maa_thresholds))
         if self.mode == "monte_carlo":
             if self.samples is None or self.samples <= 0:

@@ -56,6 +56,7 @@ __all__ = [
     "Backend",
     "CompiledBackend",
     "SamplingBackend",
+    "check_backend_name",
     "register_backend",
     "resolve_backend",
 ]
@@ -230,6 +231,14 @@ def register_backend(backend: Backend) -> Backend:
 register_backend(SamplingBackend())
 register_backend(AnalyticBackend())
 register_backend(CompiledBackend())
+
+
+def check_backend_name(name: str) -> None:
+    """Raise :class:`ValueError` unless ``name`` is registered or ``auto``."""
+    if name != api.AUTO_BACKEND and name not in BACKENDS:
+        known = (*sorted(BACKENDS), api.AUTO_BACKEND)
+        raise ValueError(
+            f"unknown backend {name!r}; expected one of {known}")
 
 
 def resolve_backend(request: "EvalRequest") -> Backend:

@@ -201,31 +201,59 @@ def offline_eval_payload(wire: Dict, engine=None) -> Dict:
 
 # -- /verify -----------------------------------------------------------------
 
+def _integer_field(wire: Dict, key: str, default: int) -> int:
+    """An integer wire field: a bool or a non-integral number is a 400."""
+    value = wire.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def build_verify_options(wire: Dict) -> Tuple[Optional[List[str]], object]:
-    """Turn a ``/verify`` wire body into ``(adder keys, VerifyOptions)``."""
+    """Turn a ``/verify`` wire body into ``(adder keys, VerifyOptions)``.
+
+    Every request that could only verify nothing, or fail after some
+    layers ran, is refused here: an empty ``adders`` list, named adders
+    none of which is defined at ``width``, ``layers`` that is not a
+    non-empty list of distinct layer names, an unknown ``backend``, and
+    a bool or non-integral ``width``/``seed``/``samples``.
+    """
     from repro.verify import LAYERS, VerifyOptions, default_registry
 
     _check_keys(wire, _VERIFY_KEYS, "verify")
     adders = wire.get("adders")
     if adders is not None:
-        if (not isinstance(adders, list)
+        if (not isinstance(adders, list) or not adders
                 or not all(isinstance(a, str) for a in adders)):
-            raise ProtocolError("'adders' must be a list of registry keys")
+            raise ProtocolError("'adders' must be a non-empty list of "
+                                "registry keys (omit it to verify them all)")
         registry = default_registry()
         unknown = sorted(set(adders) - set(registry))
         if unknown:
             raise ProtocolError(f"unknown adders {unknown}; known: "
                                 f"{', '.join(sorted(registry))}")
+    layers = wire.get("layers", list(LAYERS))
+    if (not isinstance(layers, list) or not layers
+            or not all(isinstance(layer, str) for layer in layers)
+            or len(set(layers)) != len(layers)):
+        raise ProtocolError(f"'layers' must be a non-empty list of distinct "
+                            f"layer names from {list(LAYERS)}")
     try:
         options = VerifyOptions(
-            width=int(wire.get("width", DEFAULT_WIDTH)),
-            layers=tuple(wire["layers"]) if "layers" in wire else LAYERS,
-            seed=int(wire.get("seed", 2015)),
-            samples=int(wire.get("samples", 50_000)),
+            width=_integer_field(wire, "width", DEFAULT_WIDTH),
+            layers=tuple(layers),
+            seed=_integer_field(wire, "seed", 2015),
+            samples=_integer_field(wire, "samples", 50_000),
             backend=str(wire.get("backend", "sampling")),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(str(exc)) from exc
+    if adders is not None and not any(
+            registry[key].supports(options.width) for key in adders):
+        raise ProtocolError(
+            f"no registered adder supports width {options.width}")
     return adders, options
 
 

@@ -23,12 +23,10 @@ analytic layers of one spec always agree on identity and structure.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.adders.base import AdderModel, IntLike, _validate_operand
-from repro.spec.ir import AdderSpec
+from repro.spec.ir import AdderSpec, WindowSpec
 from repro.utils.bitvec import mask
 
 
@@ -45,6 +43,27 @@ def require_windowed(adder, what: str) -> None:
             f"{what} rebuilds sums from the speculative windows; "
             f"{adder.name!r} has a {spec.low_bits}-bit fixed low part "
             "they do not cover")
+
+
+def _window_table(windows: Sequence[WindowSpec],
+                  low_bits: int) -> Tuple[Tuple[int, ...], ...]:
+    """Compile the speculative windows into plain-int rows.
+
+    Each row is ``(low, length mask, length, P, result mask, result_low,
+    P mask)``.  Above a fixed low part the first row also reads the
+    part's top bit: ``(2x + a_t + b_t) >> 1 == x + (a_t & b_t)`` for the
+    window sum ``x``, so widening the row by that bit (one more length
+    and prediction bit) adds the part's carry without a carry-in.  The
+    §3.3 flags never read such a row, as they reject a fixed low part.
+    """
+    rows = []
+    for i, w in enumerate(windows):
+        low, length, p = w.low, w.length, w.prediction_bits
+        if low_bits and i == 0:
+            low, length, p = low - 1, length + 1, p + 1
+        rows.append((low, mask(length), length, p, mask(w.result_bits),
+                     w.result_low, mask(w.prediction_bits)))
+    return tuple(rows)
 
 
 class SpecAdder(AdderModel):
@@ -64,11 +83,15 @@ class SpecAdder(AdderModel):
         self.spec = spec
         self.windows = spec.body
         static = spec.static_window
-        self._low_bits = spec.low_bits
+        t = spec.low_bits
+        self._low_bits = t
+        self._low_mask = mask(t)
         self._hoeraa = static is not None and static.approx == "hoeraa"
         self._rectified = spec.rectified_windows()
-        self._plain = not self._low_bits and not self._rectified
+        self._plain = not t and not self._rectified
         self._exact = spec.is_exact
+        self._out_mask = mask(self.width + 1)
+        self._table = _window_table(self.windows, t)
 
     @property
     def is_exact(self) -> bool:
@@ -81,49 +104,37 @@ class SpecAdder(AdderModel):
         t = self._low_bits
         result: IntLike = 0
         if t:
-            result = (a | b) & mask(t)
+            result = (a | b) & self._low_mask
             if self._hoeraa:
                 # HOERAA: the top static bit is a half-adder sum, not an OR.
                 top = ((a ^ b) >> (t - 1)) & 1
-                result = (result & mask(t - 1)) | (top << (t - 1))
+                result = (result & (self._low_mask >> 1)) | (top << (t - 1))
         local: IntLike = 0
-        for i, w in enumerate(self.windows):
-            wmask = mask(w.length)
-            local = ((a >> w.low) & wmask) + ((b >> w.low) & wmask)
-            if t and i == 0:
-                local = local + ((a >> (t - 1)) & (b >> (t - 1)) & 1)
-            field = (local >> w.prediction_bits) & mask(w.result_bits)
-            result = result | (field << w.result_low)
-        carry_out = (local >> self.windows[-1].length) & 1
-        result = result | (carry_out << self.width)
+        length = 0
+        for low, lmask, length, p, rmask, result_low, _ in self._table:
+            local = ((a >> low) & lmask) + ((b >> low) & lmask)
+            result = result | (((local >> p) & rmask) << result_low)
+        result = result | (((local >> length) & 1) << self.width)
         if self._rectified:
             # The rectified sum never exceeds a + b (rectification only
             # cancels negative misses), so the masked-off ripple carry of
             # the netlist stage never fires.
             flags = self._flags(a, b)
             for i in self._rectified:
-                result = result + (flags[i] << self.windows[i].result_low)
-            result = result & mask(self.width + 1)
+                result = result + (flags[i] << self._table[i][5])
+            result = result & self._out_mask
         return result
 
     def _flags(self, a: IntLike, b: IntLike) -> List[IntLike]:
-        flags: List[IntLike] = []
-        prev_cout: IntLike = 0
-        for i, w in enumerate(self.windows):
-            wmask = mask(w.length)
-            local = ((a >> w.low) & wmask) + ((b >> w.low) & wmask)
-            cout = (local >> w.length) & 1
-            if i == 0:
-                flags.append(a * 0 if isinstance(a, np.ndarray) else 0)
-            else:
-                p = w.prediction_bits
-                prop = ((a >> w.low) ^ (b >> w.low)) & mask(p)
-                all_prop = (prop == mask(p)) if p else (prop == prop)
-                if isinstance(all_prop, np.ndarray):
-                    flags.append((all_prop.astype(np.int64)) & prev_cout)
-                else:
-                    flags.append(int(all_prop) & int(prev_cout))
-            prev_cout = cout
+        # Flag i is AND(propagate over window i's P bits) & the local carry
+        # out of window i-1.  ``a * 0`` is flag 0 in the operands' type.
+        low, lmask, length = self._table[0][:3]
+        prev_cout = (((a >> low) & lmask) + ((b >> low) & lmask)) >> length
+        flags: List[IntLike] = [a * 0]
+        for low, lmask, length, _, _, _, pmask in self._table[1:]:
+            a_w, b_w = a >> low, b >> low
+            flags.append((((a_w ^ b_w) & pmask) == pmask) & prev_cout)
+            prev_cout = ((a_w & lmask) + (b_w & lmask)) >> length
         return flags
 
     def detection_flags(self, a: IntLike, b: IntLike) -> List[IntLike]:

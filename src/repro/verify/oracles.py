@@ -36,6 +36,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.adders.base import AdderModel
 from repro.metrics.confidence import wilson_interval
 from repro.rtl.compile import compile_netlist
@@ -69,20 +70,30 @@ ANALYTIC_TOL = 1e-9
 MAX_SCALAR_PROBES = 4096
 
 
-def _flags_word(model: AdderModel, a, b) -> Optional[object]:
-    """Pack ``detection_flags`` (entries 1..k-1) into an ERR-bus word."""
+def _flags_source(model: AdderModel) -> Optional[Callable]:
+    """The model's ``detection_flags``, or None where the ERR bus has none."""
     flags_fn = getattr(model, "detection_flags", None)
     spec = getattr(model, "spec", None)
     if not callable(flags_fn) or (spec is not None and spec.low_bits):
         # The §3.3 flags do not cover a fixed low part (they raise).
         return None
-    flags = flags_fn(a, b)
+    return flags_fn
+
+
+def _pack_flags(flags) -> Optional[object]:
+    """Pack flag entries 1..k-1 into an ERR-bus word (None when k == 1)."""
     word = None
     for i, flag in enumerate(flags[1:]):
         contribution = (np.asarray(flag, dtype=np.int64) << i
                         if isinstance(flag, np.ndarray) else int(flag) << i)
         word = contribution if word is None else word | contribution
     return word
+
+
+def _flags_word(model: AdderModel, a, b) -> Optional[object]:
+    """Pack ``detection_flags`` (entries 1..k-1) into an ERR-bus word."""
+    flags_fn = _flags_source(model)
+    return None if flags_fn is None else _pack_flags(flags_fn(a, b))
 
 
 def _plain_spec(model: AdderModel) -> bool:
@@ -510,7 +521,9 @@ def check_vector(model: AdderModel, vectors: VectorSet,
     """
     a_vec = np.asarray(model.add(vectors.a, vectors.b))
     ed_vec = np.asarray(model.error_distance(vectors.a, vectors.b))
-    flags_vec = _flags_word(model, vectors.a, vectors.b)
+    flags_fn = _flags_source(model)
+    flags_vec = (None if flags_fn is None
+                 else _pack_flags(flags_fn(vectors.a, vectors.b)))
 
     if vectors.count <= max_scalar:
         indices = np.arange(vectors.count)
@@ -520,27 +533,37 @@ def check_vector(model: AdderModel, vectors: VectorSet,
     probed = int(indices.size)
     exhaustive = vectors.exhaustive and probed == vectors.count
 
+    # Python ints once, up front; each probe still makes its own scalar
+    # add, error_distance and detection_flags call.
+    a_list = vectors.a[indices].tolist()
+    b_list = vectors.b[indices].tolist()
+    sums = a_vec[indices].tolist()
+    distances = ed_vec[indices].tolist()
+    words = (None if flags_vec is None
+             else np.asarray(flags_vec)[indices].tolist())
+
     mismatch: Optional[int] = None
     what = ""
-    for i in indices:
-        a0, b0 = int(vectors.a[i]), int(vectors.b[i])
-        if int(model.add(a0, b0)) != int(a_vec[i]):
-            mismatch, what = int(i), "add"
+    for j, (a0, b0) in enumerate(zip(a_list, b_list)):
+        if int(model.add(a0, b0)) != sums[j]:
+            mismatch, what = j, "add"
             break
-        if int(model.error_distance(a0, b0)) != int(ed_vec[i]):
-            mismatch, what = int(i), "error_distance"
+        if int(model.error_distance(a0, b0)) != distances[j]:
+            mismatch, what = j, "error_distance"
             break
-        if flags_vec is not None:
-            if int(_flags_word(model, a0, b0)) != int(np.asarray(flags_vec)[i]):
-                mismatch, what = int(i), "detection_flags"
+        if words is not None:
+            if int(_pack_flags(flags_fn(a0, b0))) != words[j]:
+                mismatch, what = j, "detection_flags"
                 break
+    obs.count("verify.vector.probes",
+              probed if mismatch is None else mismatch + 1)
 
     if mismatch is None:
         return LayerResult("vector", LayerStatus.PASS, exhaustive=exhaustive,
                            vectors=probed,
                            details={"vectorised_over": vectors.count})
 
-    a0, b0 = int(vectors.a[mismatch]), int(vectors.b[mismatch])
+    a0, b0 = a_list[mismatch], b_list[mismatch]
     cex = _shrink_vector(model, build, a0, b0, what, min_width)
     return LayerResult(
         "vector", LayerStatus.FAIL, exhaustive=exhaustive, vectors=probed,

@@ -19,6 +19,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro import obs
 from repro.engine import fingerprint_adder
+from repro.engine.backends import check_backend_name
 from repro.verify.oracles import (
     ANALYTIC_EXHAUSTIVE_WIDTH,
     MAX_SCALAR_PROBES,
@@ -67,6 +68,8 @@ class VerifyOptions:
                 f"unknown layers {unknown}; expected a subset of {list(LAYERS)}"
             )
         object.__setattr__(self, "layers", tuple(self.layers))
+        # Refused up front, not by the stats layer after others ran.
+        check_backend_name(self.backend)
 
 
 def verify_adder(entry: RegisteredAdder,

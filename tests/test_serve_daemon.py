@@ -99,6 +99,14 @@ def test_verify_endpoint(client):
     assert payload["adders"] == ["gear_r2p2"]
 
 
+def test_verify_width_true_is_400_not_an_empty_ok(client):
+    # int(True) == 1 once skipped every adder and answered ok.
+    with pytest.raises(ServeError) as excinfo:
+        client.verify({"adders": ["gear_r2p2"], "width": True})
+    assert excinfo.value.status == 400
+    assert "'width' must be an integer" in excinfo.value.message
+
+
 def test_experiment_endpoint(client):
     payload = client.experiment({"name": "table3", "samples": 2000,
                                  "seed": 3})

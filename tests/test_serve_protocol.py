@@ -188,6 +188,40 @@ def test_build_verify_options_defaults_and_validation():
         protocol.build_verify_options({"adders": "rca"})
 
 
+@pytest.mark.parametrize("wire,fragment", [
+    ({"adders": ["gear_r2p2"], "width": True}, "'width' must be an integer"),
+    ({"width": 6.7}, "'width' must be an integer"),
+    ({"width": "6"}, "'width' must be an integer"),
+    ({"seed": False}, "'seed' must be an integer"),
+    ({"seed": None}, "'seed' must be an integer"),
+    ({"samples": 100.5}, "'samples' must be an integer"),
+    ({"layers": "vector"}, "'layers' must be a non-empty list"),
+    ({"layers": []}, "'layers' must be a non-empty list"),
+    ({"layers": ["vector", "vector"]}, "distinct layer names"),
+    ({"layers": [1]}, "'layers' must be a non-empty list"),
+    ({"layers": ["nope"]}, "unknown layers"),
+    ({"adders": []}, "non-empty list of registry keys"),
+    ({"backend": "nope"}, "unknown backend 'nope'"),
+    ({"adders": ["etaii_l4"], "width": 7}, "no registered adder supports"),
+    ({"width": 0}, "width must be >= 1"),
+])
+def test_build_verify_options_rejects_at_parse_time(wire, fragment):
+    with pytest.raises(ProtocolError, match=fragment):
+        protocol.build_verify_options(wire)
+
+
+def test_build_verify_options_accepts_integral_and_partial_bodies():
+    _, options = protocol.build_verify_options({"width": 6.0, "seed": 3})
+    assert (options.width, options.seed) == (6, 3)
+    assert type(options.width) is int
+    # One named adder defined at the width is enough; the runner skips
+    # the others, as the CLI does.
+    adders, options = protocol.build_verify_options(
+        {"adders": ["etaii_l4", "rca"], "width": 7, "backend": "auto"})
+    assert adders == ["etaii_l4", "rca"]
+    assert options.backend == "auto"
+
+
 def test_build_experiment_validates_name():
     name, kwargs = protocol.build_experiment(
         {"name": "table3", "samples": 100, "seed": 1})
