@@ -40,7 +40,6 @@ from repro.spec.catalog import (
     loa_spec,
 )
 from repro.spec.model import SpecAdder, require_windowed
-from repro.utils.bitvec import mask
 
 
 def RippleCarryAdder(width: int):
@@ -175,31 +174,20 @@ def add_with_selects(adder: SpecAdder, a: IntLike, b: IntLike,
     The mux taps the previous block's *actual* carry-out, which may itself
     be tainted if that block ran on a prediction — the hardware-faithful
     semantics.  All-accurate selects chain into the exact sum, and all
-    approximate ones reproduce ``adder.add``.
+    approximate ones reproduce ``adder.add``.  It is the window walk of
+    :class:`~repro.spec.model.SpecAdder` with the accurate blocks chained,
+    the same pass as :class:`~repro.core.correction.ErrorCorrector`.
     """
     require_windowed(adder, "add_with_selects")
     a = _validate_operand("a", a, adder.width)
     b = _validate_operand("b", b, adder.width)
-    windows = adder.windows
-    boundaries = len(windows) - 1
+    boundaries = len(adder.windows) - 1
     if accurate is None:
         accurate = [True] * boundaries
     if len(accurate) != boundaries:
         raise ValueError(f"need {boundaries} select flags, got {len(accurate)}")
 
-    result: IntLike = 0
-    carry: IntLike = 0
-    for index, w in enumerate(windows):
-        if index and not accurate[index - 1]:
-            span = w.prediction_bits
-            carry = ((((a >> w.low) & mask(span))
-                      + ((b >> w.low) & mask(span))) >> span) & 1
-        bits = w.result_bits
-        local = (((a >> w.result_low) & mask(bits))
-                 + ((b >> w.result_low) & mask(bits)) + carry)
-        result = result | ((local & mask(bits)) << w.result_low)
-        carry = (local >> bits) & 1
-    return result | (carry << adder.width)
+    return adder._walk(a, b, accurate)[0]
 
 
 __all__ = [

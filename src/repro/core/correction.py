@@ -15,10 +15,18 @@ Timing: the speculative result costs 1 cycle; each correction costs one
 additional cycle, and corrections cascade lowest-sub-adder-first because
 fixing sub-adder ``i`` updates ``co_i`` and may newly trip the detector of
 sub-adder ``i+1`` (Fig. 6 discussion: k sub-adders need up to k cycles).
+A detector reads only the carry out of the sub-adder below it, so the
+cascade is one LSB-first pass: the window walk of
+:class:`~repro.spec.model.SpecAdder` with the enabled sub-adders chained
+(a corrected sub-adder takes ``co_{i-1}`` as its carry in).  The number
+of corrections is the sum of the enabled sub-adders' flags in that pass,
+and the cycle count is one more.  :func:`repro.adders.add_with_selects`
+is the same pass, with GDA's accurate muxes as the chained blocks.
 
 The ``enabled`` mask models the paper's error-control select signal: only
 sub-adders whose bit is set are ever corrected, letting an application
-trade residual error for bounded latency.
+trade residual error for bounded latency.  A declared rectify stage
+still adds back the flags of the sub-adders the mask leaves uncorrected.
 
 **A hazard the paper does not mention** (found by property testing):
 selective correction is *not* monotone for arbitrary masks.  Correcting
@@ -35,13 +43,10 @@ an enabled higher sub-adder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.adders.base import IntLike
+from repro.adders.base import IntLike, _validate_operand
 from repro.spec.model import SpecAdder, require_windowed
-from repro.utils.bitvec import mask
 
 
 @dataclass
@@ -99,94 +104,15 @@ class ErrorCorrector:
 
     def add(self, a: IntLike, b: IntLike) -> CorrectionResult:
         """Add with detection/correction; vectorises over arrays."""
-        scalar = not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))
-        a_arr = np.atleast_1d(np.asarray(a, dtype=np.int64))
-        b_arr = np.atleast_1d(np.asarray(b, dtype=np.int64))
-        a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-        a_arr = np.ascontiguousarray(a_arr)
-        b_arr = np.ascontiguousarray(b_arr)
-        limit = mask(self.adder.width)
-        if a_arr.size and (
-            a_arr.min() < 0 or a_arr.max() > limit or b_arr.min() < 0 or b_arr.max() > limit
-        ):
-            raise ValueError(f"operands must fit in {self.adder.width} bits")
-
-        windows = self.adder.windows
-        k = len(windows)
-        n_elem = a_arr.shape
-        corrected = np.zeros((k,) + n_elem, dtype=bool)  # index 0 unused
-        cycles = np.ones(n_elem, dtype=np.int64)
-        corrections = np.zeros(n_elem, dtype=np.int64)
-        initial_flags = np.zeros(n_elem, dtype=np.int64)
-
-        for round_index in range(k):  # at most k-1 corrections + final check
-            locals_, couts = self._window_sums(a_arr, b_arr, corrected)
-            flags = self._detect(a_arr, b_arr, couts)
-            if round_index == 0:
-                for i in range(1, k):
-                    initial_flags |= flags[i] << i
-            # Mask out disabled and already-corrected sub-adders.
-            pending = np.zeros((k,) + n_elem, dtype=bool)
-            for i in range(1, k):
-                if self.enabled[i - 1]:
-                    pending[i] = flags[i].astype(bool) & ~corrected[i]
-            any_pending = pending.any(axis=0)
-            if not any_pending.any():
-                break
-            # Correct the lowest pending sub-adder of each element.
-            lowest = np.argmax(pending, axis=0)  # 0 where nothing pending
-            for i in range(1, k):
-                hit = any_pending & (lowest == i)
-                corrected[i] |= hit
-                corrections += hit
-                cycles += hit
-
-        locals_, couts = self._window_sums(a_arr, b_arr, corrected)
-        value = np.zeros(n_elem, dtype=np.int64)
-        for i, w in enumerate(windows):
-            field = (locals_[i] >> w.prediction_bits) & mask(w.result_bits)
-            value |= field << w.result_low
-        value |= couts[-1] << self.adder.width
-
-        if scalar:
-            return CorrectionResult(
-                value=int(value[0]),
-                cycles=int(cycles[0]),
-                corrections=int(corrections[0]),
-                initial_flags=int(initial_flags[0]),
-            )
-        return CorrectionResult(value, cycles, corrections, initial_flags)
-
-    # ------------------------------------------------------------------ #
-
-    def _window_sums(self, a: np.ndarray, b: np.ndarray, corrected: np.ndarray):
-        """Local sum and carry-out per window, honouring correction state."""
-        locals_: List[np.ndarray] = []
-        couts: List[np.ndarray] = []
-        for i, w in enumerate(self.adder.windows):
-            wmask = mask(w.length)
-            aw = (a >> w.low) & wmask
-            bw = (b >> w.low) & wmask
-            if i > 0 and w.prediction_bits:
-                pmask = mask(w.prediction_bits)
-                forced = ((aw | bw) & pmask) | 1
-                ac = np.where(corrected[i], (aw & ~pmask) | forced, aw)
-                bc = np.where(corrected[i], (bw & ~pmask) | forced, bw)
-            else:
-                ac, bc = aw, bw
-            local = ac + bc
-            locals_.append(local)
-            couts.append((local >> w.length) & 1)
-        return locals_, couts
-
-    def _detect(self, a: np.ndarray, b: np.ndarray, couts: List[np.ndarray]):
-        """Detector outputs cp_i & co_{i-1} per window (index 0 unused)."""
-        flags: List[np.ndarray] = [np.zeros(a.shape, dtype=np.int64)]
-        for i, w in enumerate(self.adder.windows):
-            if i == 0:
-                continue
-            p = w.prediction_bits
-            prop = ((a >> w.low) ^ (b >> w.low)) & mask(p)
-            cp = (prop == mask(p)).astype(np.int64)
-            flags.append(cp & couts[i - 1])
-        return flags
+        adder = self.adder
+        a = _validate_operand("a", a, adder.width)
+        b = _validate_operand("b", b, adder.width)
+        value, flags = adder._walk(a, b, self.enabled)
+        _, initial = adder._walk(a, b, total=False)
+        zero = value & 0  # 0 in the shape and type of the sum
+        corrections = sum((f for f, e in zip(flags[1:], self.enabled) if e),
+                          zero)
+        initial_flags = sum((f << i for i, f in enumerate(initial) if i),
+                            zero)
+        return CorrectionResult(value, 1 + corrections, corrections,
+                                initial_flags)

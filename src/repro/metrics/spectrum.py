@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.spec.model import SpecAdder, require_windowed
-from repro.utils.bitvec import mask
 from repro.utils.distributions import OperandDistribution, UniformOperands
 from repro.utils.validation import check_pos_int
 
@@ -57,10 +56,11 @@ def error_spectrum(
     """Monte-Carlo error spectrum of a windowed adder.
 
     Window attribution uses the exact miss indicator per window (true carry
-    into the window differs from its local speculation); each miss of
-    window *i* contributes ``2^{result_low_i}`` of (pre-cancellation) error
-    mass.  A spec with a fixed low part (truncation or a static window)
-    raises :class:`ValueError`: the attribution covers windows only.
+    into the window differs from its local speculation), less the misses a
+    rectify stage repairs; each miss of window *i* contributes
+    ``2^{result_low_i}`` of (pre-cancellation) error mass.  A spec with a
+    fixed low part (truncation or a static window) raises
+    :class:`ValueError`: the attribution covers windows only.
     """
     require_windowed(adder, "error_spectrum")
     check_pos_int("samples", samples)
@@ -73,21 +73,19 @@ def error_spectrum(
     values, counts = np.unique(err, return_counts=True)
     pmf = {int(v): float(c) / samples for v, c in zip(values, counts)}
 
-    miss_rates: List[float] = []
-    masses: List[float] = []
-    for w in adder.windows[1:]:
-        if w.low == 0:
-            miss_rates.append(0.0)
-            masses.append(0.0)
-            continue
-        pred = w.prediction_bits
-        prop = ((a >> w.low) ^ (b >> w.low)) & mask(pred)
-        all_prop = prop == mask(pred)
-        carry_in = (((a & mask(w.low)) + (b & mask(w.low))) >> w.low) & 1
-        miss = all_prop & (carry_in == 1)
-        rate = float(np.mean(miss))
-        miss_rates.append(rate)
-        masses.append(rate * float(1 << w.result_low))
+    # The fully chained walk is exact, so its flag i marks a true carry
+    # into window i's all-propagating prediction bits: a miss.  A rectify
+    # stage repairs the misses its window's own speculative flag sees.
+    windows = adder.windows
+    _, misses = adder._walk(a, b, (True,) * (len(windows) - 1), total=False)
+    rectified = adder.spec.rectified_windows()
+    if rectified:
+        _, seen = adder._walk(a, b, total=False)
+        for i in rectified:
+            misses[i] = misses[i] & (seen[i] ^ 1)
+    miss_rates = [float(np.mean(miss)) for miss in misses[1:]]
+    masses = [rate * float(1 << w.result_low)
+              for rate, w in zip(miss_rates, windows[1:])]
     return ErrorSpectrum(
         adder_name=adder.name,
         samples=samples,

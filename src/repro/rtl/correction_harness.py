@@ -8,15 +8,9 @@ state as the ``CORR`` input bus; this harness plays the role of the control
 register, iterating netlist evaluations until the (enable-gated) detector
 flags clear.
 
-Two policies are provided:
-
-* ``"sequential"`` (default) — correct the lowest flagged sub-adder per
-  cycle; this is the paper's accounting (k cycles worst case) and matches
-  :class:`repro.core.correction.ErrorCorrector` cycle-for-cycle.
-* ``"parallel"`` — correct every currently-flagged sub-adder per cycle.
-  Safe (a raised flag never turns spurious: correcting a lower sub-adder
-  can only raise a previous carry-out from 0 to 1) and faster in cycles,
-  at the cost of per-sub-adder latch logic the paper does not spend.
+Each cycle corrects the lowest flagged sub-adder: the paper's accounting
+(k cycles worst case), matching
+:class:`repro.core.correction.ErrorCorrector` cycle-for-cycle.
 """
 
 from __future__ import annotations
@@ -29,8 +23,6 @@ import numpy as np
 from repro.rtl.netlist import Netlist
 from repro.rtl.sim import simulate
 from repro.utils.bitvec import mask
-
-_POLICIES = ("sequential", "parallel")
 
 
 @dataclass
@@ -48,21 +40,17 @@ class MultiCycleCorrector:
     Args:
         netlist: the correction netlist (buses A, B, EN, CORR / S, ERR).
         enabled: per-sub-adder enable bits (defaults to all enabled).
-        policy: ``"sequential"`` or ``"parallel"`` (see module docstring).
     """
 
-    def __init__(self, netlist: Netlist, enabled: Optional[Sequence[bool]] = None,
-                 policy: str = "sequential") -> None:
+    def __init__(self, netlist: Netlist,
+                 enabled: Optional[Sequence[bool]] = None) -> None:
         for bus in ("A", "B", "EN", "CORR"):
             if bus not in netlist.input_buses:
                 raise ValueError(f"netlist lacks required input bus {bus!r}")
         for bus in ("S", "ERR"):
             if bus not in netlist.output_buses:
                 raise ValueError(f"netlist lacks required output bus {bus!r}")
-        if policy not in _POLICIES:
-            raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
         self.netlist = netlist
-        self.policy = policy
         self.spec = netlist.input_buses["CORR"]
         if enabled is None:
             enabled = [True] * self.spec
@@ -97,17 +85,9 @@ class MultiCycleCorrector:
             pending = err != 0
             if not pending.any():
                 break
-            if self.policy == "sequential":
-                fix = err & -err  # lowest set bit
-                count = np.where(pending, 1, 0)
-            else:
-                fix = err
-                count = np.zeros(a.shape, dtype=np.int64)
-                for i in range(self.spec):
-                    count += (err >> i) & 1
-            corr |= np.where(pending, fix, 0)
-            corrections += count
-            cycles += pending.astype(np.int64)
+            corr |= err & -err  # the lowest flagged sub-adder
+            corrections += pending
+            cycles += pending
 
         values = simulate(
             self.netlist,

@@ -78,6 +78,19 @@ def canonical_bytes(payload: Any) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _integer_field(wire: Dict, key: str, default: Optional[int]) -> int:
+    """An integer wire field: a bool or a non-integral number is a 400.
+
+    An integral float such as ``6.0`` reads as 6.
+    """
+    value = wire.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 # -- adder references --------------------------------------------------------
 
 @functools.lru_cache(maxsize=512)
@@ -109,10 +122,13 @@ def resolve_adder(ref: Any):
             return _family_adder(ref, DEFAULT_WIDTH)
         if isinstance(ref, dict):
             if "family" in ref:
-                return _family_adder(str(ref["family"]),
-                                     int(ref.get("width", DEFAULT_WIDTH)))
+                return _family_adder(
+                    str(ref["family"]),
+                    _integer_field(ref, "width", DEFAULT_WIDTH))
             if "gear" in ref:
-                n, r, p = (int(v) for v in ref["gear"])
+                n, r, p = ref["gear"]
+                gear = {"n": n, "r": r, "p": p}
+                n, r, p = (_integer_field(gear, key, None) for key in "nrp")
                 return _gear_adder(n, r, p)
             if "spec" in ref:
                 return _spec_adder(json.dumps(ref["spec"], sort_keys=True))
@@ -148,7 +164,6 @@ def build_request(wire: Dict) -> "api.EvalRequest":
     if mode not in WIRE_MODES:
         raise ProtocolError(f"unknown mode {mode!r}; the wire protocol "
                             f"supports {WIRE_MODES}")
-    seed = wire.get("seed", 2015)
     kwargs: Dict[str, Any] = {
         "adder": adder,
         "mode": mode,
@@ -161,8 +176,10 @@ def build_request(wire: Dict) -> "api.EvalRequest":
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"bad thresholds: {exc}") from exc
     if mode == "monte_carlo":
-        kwargs["samples"] = int(wire.get("samples", 10_000))
-        kwargs["seed"] = None if seed is None else int(seed)
+        kwargs["samples"] = _integer_field(wire, "samples", 10_000)
+        # An explicit null seed asks for an unseeded draw.
+        kwargs["seed"] = (None if wire.get("seed", 2015) is None
+                          else _integer_field(wire, "seed", 2015))
     try:
         return api.EvalRequest(**kwargs)
     except ValueError as exc:
@@ -200,16 +217,6 @@ def offline_eval_payload(wire: Dict, engine=None) -> Dict:
 
 
 # -- /verify -----------------------------------------------------------------
-
-def _integer_field(wire: Dict, key: str, default: int) -> int:
-    """An integer wire field: a bool or a non-integral number is a 400."""
-    value = wire.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
 
 def build_verify_options(wire: Dict) -> Tuple[Optional[List[str]], object]:
     """Turn a ``/verify`` wire body into ``(adder keys, VerifyOptions)``.
@@ -269,10 +276,9 @@ def build_experiment(wire: Dict) -> Tuple[str, Dict]:
         raise ProtocolError(f"unknown experiment {name!r}; registered: "
                             f"{', '.join(sorted(EXPERIMENTS))}")
     kwargs: Dict[str, Any] = {}
-    if wire.get("samples") is not None:
-        kwargs["samples"] = int(wire["samples"])
-    if wire.get("seed") is not None:
-        kwargs["seed"] = int(wire["seed"])
+    for key in ("samples", "seed"):
+        if wire.get(key) is not None:
+            kwargs[key] = _integer_field(wire, key, None)
     if wire.get("backend") is not None:
         kwargs["backend"] = str(wire["backend"])
     return str(name), kwargs

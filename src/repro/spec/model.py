@@ -13,6 +13,14 @@ steps, each present only when the spec declares it:
 * the rectify stage, adding each enabled window's §3.3 flag back at its
   ``result_low``.
 
+The windows and the rectify stage are one LSB-first walk over a compiled
+window table (:meth:`SpecAdder._walk`).  With a mask of *chained*
+windows, which take the previous window's carry out instead of their
+prediction, the same walk is the §3.3 corrector
+(:class:`repro.core.correction.ErrorCorrector`), GDA's carry muxes
+(:func:`repro.adders.add_with_selects`) and the miss indicator of
+:func:`repro.metrics.spectrum.error_spectrum`.
+
 EP/MED of a plain layout come from the closed-form chain of
 :mod:`repro.core.error_model`; a fixed low part or a rectify stage falls
 outside it, so those reduce the exact error PMF of
@@ -23,7 +31,7 @@ analytic layers of one spec always agree on identity and structure.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.adders.base import AdderModel, IntLike, _validate_operand
 from repro.spec.ir import AdderSpec, WindowSpec
@@ -34,8 +42,8 @@ def require_windowed(adder, what: str) -> None:
     """Reject an adder whose sum ``adder.windows`` does not describe.
 
     A spec with a fixed low part computes its low bits outside the
-    speculative windows, so ``what`` — anything that rebuilds a sum or a
-    flag from ``adder.windows`` alone — would silently drop them.
+    speculative windows, so ``what`` — anything that reads a sum or a
+    flag from the window walk alone — would silently drop them.
     """
     spec = getattr(adder, "spec", None)
     if isinstance(spec, AdderSpec) and spec.low_bits:
@@ -92,6 +100,8 @@ class SpecAdder(AdderModel):
         self._exact = spec.is_exact
         self._out_mask = mask(self.width + 1)
         self._table = _window_table(self.windows, t)
+        # The speculative rows, each tagged "not chained" for _walk.
+        self._unchained = tuple(row + (False,) for row in self._table[1:])
 
     @property
     def is_exact(self) -> bool:
@@ -101,6 +111,9 @@ class SpecAdder(AdderModel):
         if self._exact:
             # One window over the whole word: its local sum is a + b.
             return a + b
+        if self._rectified:
+            # A rectify stage implies error_detect, hence no fixed low part.
+            return self._walk(a, b)[0]
         t = self._low_bits
         result: IntLike = 0
         if t:
@@ -114,28 +127,56 @@ class SpecAdder(AdderModel):
         for low, lmask, length, p, rmask, result_low, _ in self._table:
             local = ((a >> low) & lmask) + ((b >> low) & lmask)
             result = result | (((local >> p) & rmask) << result_low)
-        result = result | (((local >> length) & 1) << self.width)
-        if self._rectified:
-            # The rectified sum never exceeds a + b (rectification only
-            # cancels negative misses), so the masked-off ripple carry of
-            # the netlist stage never fires.
-            flags = self._flags(a, b)
-            for i in self._rectified:
-                result = result + (flags[i] << self._table[i][5])
-            result = result & self._out_mask
-        return result
+        return result | (((local >> length) & 1) << self.width)
 
-    def _flags(self, a: IntLike, b: IntLike) -> List[IntLike]:
-        # Flag i is AND(propagate over window i's P bits) & the local carry
-        # out of window i-1.  ``a * 0`` is flag 0 in the operands' type.
-        low, lmask, length = self._table[0][:3]
-        prev_cout = (((a >> low) & lmask) + ((b >> low) & lmask)) >> length
+    def _walk(self, a: IntLike, b: IntLike,
+              chained: Optional[Sequence[bool]] = None,
+              total: bool = True) -> Tuple[IntLike, List[IntLike]]:
+        """One LSB-first pass over the windows: ``(sum, §3.3 flags)``.
+
+        ``chained`` holds one bool per speculative window ``1..k-1``
+        (``None``: none).  A chained window adds its result field with
+        the previous window's carry-out instead of its prediction: the
+        §3.3 correction of that window, or GDA's accurate carry mux.
+        Flag ``i`` is ``cp_i & co_{i-1}`` with ``co_{i-1}`` the carry-out
+        this walk computed (entry 0 is 0 in the operands' type).  Since
+        ``cp_i`` means the prediction bits all propagate, chaining adds
+        exactly the flag at the window's result field.  The rectify
+        stage then adds back the flags of the unchained rectified
+        windows.  The sum leaves out a fixed low part's bits; with
+        ``total=False`` it is not formed (``None``), which keeps
+        :meth:`detection_flags` as cheap as the flags alone.
+        """
+        table = self._table
+        low, lmask, length, p, rmask, result_low, _ = table[0]
+        local = ((a >> low) & lmask) + ((b >> low) & lmask)
+        result = ((local >> p) & rmask) << result_low
+        cout = local >> length
         flags: List[IntLike] = [a * 0]
-        for low, lmask, length, _, _, _, pmask in self._table[1:]:
+        links = (self._unchained if chained is None else
+                 [row + (bool(c),) for row, c in zip(table[1:], chained)])
+        for low, lmask, length, p, rmask, result_low, pmask, chain in links:
             a_w, b_w = a >> low, b >> low
-            flags.append((((a_w ^ b_w) & pmask) == pmask) & prev_cout)
-            prev_cout = ((a_w & lmask) + (b_w & lmask)) >> length
-        return flags
+            flag = (((a_w ^ b_w) & pmask) == pmask) & cout
+            local = (a_w & lmask) + (b_w & lmask)
+            if chain:
+                local = local + (flag << p)
+            if total:
+                result = result | (((local >> p) & rmask) << result_low)
+            flags.append(flag)
+            cout = local >> length
+        if not total:
+            return None, flags
+        result = result | (cout << self.width)
+        if self._rectified:
+            # The rectified sum never exceeds a + b (a flag only ever
+            # marks a carry the window really missed), so the masked-off
+            # ripple carry of the netlist stage never fires.
+            for i in self._rectified:
+                if not links[i - 1][7]:
+                    result = result + (flags[i] << table[i][5])
+            result = result & self._out_mask
+        return result, flags
 
     def detection_flags(self, a: IntLike, b: IntLike) -> List[IntLike]:
         """§3.3 error-detection flag per speculative window.
@@ -150,7 +191,7 @@ class SpecAdder(AdderModel):
             require_windowed(self, "detection_flags")
         a = _validate_operand("a", a, self.width)
         b = _validate_operand("b", b, self.width)
-        return self._flags(a, b)
+        return self._walk(a, b, total=False)[1]
 
     def error_probability(self) -> float:
         """Exact error probability for uniform operands.

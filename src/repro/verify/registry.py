@@ -129,9 +129,12 @@ def registry_adder(key: str, width: int = DEFAULT_WIDTH) -> AdderModel:
 
 
 def select_entries(adders: Optional[List[str]] = None) -> List[RegisteredAdder]:
-    """Resolve a list of registry keys (None = everything) to entries."""
+    """Resolve a list of registry keys (None = everything) to entries.
+
+    An empty list selects no entries.
+    """
     registry = default_registry()
-    if not adders:
+    if adders is None:
         return list(registry.values())
     selected = []
     for key in adders:

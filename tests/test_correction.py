@@ -1,5 +1,7 @@
 """Unit tests for the §3.3 error detection/correction engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from repro.adders import GracefullyDegradingAdder, add_with_selects
 from repro.core.correction import ErrorCorrector
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.metrics.spectrum import error_spectrum
-from repro.spec.catalog import catalog_spec
+from repro.spec.catalog import SPEC_CATALOG, catalog_spec
+from repro.utils.bitvec import mask
+from repro.utils.distributions import UniformOperands
 from tests.conftest import random_pairs
 
 
@@ -15,6 +19,141 @@ def _exhaustive_pairs(width):
     size = 1 << width
     vals = np.arange(size, dtype=np.int64)
     return np.repeat(vals, size), np.tile(vals, size)
+
+
+#: Catalog families whose sum is the speculative windows alone.
+WINDOWED = [key for key in SPEC_CATALOG
+            if len(catalog_spec(key, 8).body) > 1
+            and not catalog_spec(key, 8).low_bits]
+UNRECTIFIED = [key for key in WINDOWED
+               if catalog_spec(key, 8).rectify is None]
+
+
+def _reference_correct(adder, a, b, enabled):
+    """The §3.3 loop as the hardware runs it, one round per cycle.
+
+    Each round recomputes every window (a corrected window's prediction
+    bits are OR-ed and their LSB forced to 1) and corrects the lowest
+    enabled window whose flag is up.  Ignores a rectify stage.
+    """
+    windows, k = adder.windows, len(adder.windows)
+    corrected = np.zeros((k,) + a.shape, dtype=bool)
+    cycles = np.ones(a.shape, dtype=np.int64)
+    initial = np.zeros(a.shape, dtype=np.int64)
+
+    def window_sums():
+        sums = []
+        for i, w in enumerate(windows):
+            aw, bw = (a >> w.low) & mask(w.length), (b >> w.low) & mask(w.length)
+            if i and w.prediction_bits:
+                pm = mask(w.prediction_bits)
+                forced = ((aw | bw) & pm) | 1
+                aw = np.where(corrected[i], (aw & ~pm) | forced, aw)
+                bw = np.where(corrected[i], (bw & ~pm) | forced, bw)
+            sums.append(aw + bw)
+        return sums
+
+    for round_index in range(k):
+        sums = window_sums()
+        lowest = np.zeros(a.shape, dtype=np.int64)  # 0: nothing pending
+        for i in range(k - 1, 0, -1):
+            w, pm = windows[i], mask(windows[i].prediction_bits)
+            cp = (((a >> w.low) ^ (b >> w.low)) & pm) == pm
+            flag = cp & ((sums[i - 1] >> windows[i - 1].length) == 1)
+            if round_index == 0:
+                initial |= flag.astype(np.int64) << i
+            if enabled[i - 1]:
+                lowest = np.where(flag & ~corrected[i], i, lowest)
+        if not lowest.any():
+            break
+        for i in range(1, k):
+            corrected[i] |= lowest == i
+        cycles += lowest > 0
+    sums = window_sums()
+    value = sums[-1] >> windows[-1].length << adder.width
+    for s, w in zip(sums, windows):
+        value |= ((s >> w.prediction_bits) & mask(w.result_bits)) << w.result_low
+    return value, cycles, cycles - 1, initial
+
+
+class TestOneWindowWalk:
+    """The corrector, the GDA selects and the spectrum share one walk."""
+
+    @pytest.mark.parametrize("family", UNRECTIFIED)
+    def test_matches_round_by_round_reference(self, family):
+        adder = catalog_spec(family, 8).to_model()
+        a, b = _exhaustive_pairs(8)
+        for enabled in itertools.product([False, True],
+                                         repeat=len(adder.windows) - 1):
+            got = ErrorCorrector(adder, list(enabled)).add(a, b)
+            value, cycles, corrections, initial = _reference_correct(
+                adder, a, b, enabled)
+            np.testing.assert_array_equal(got.value, value)
+            np.testing.assert_array_equal(got.cycles, cycles)
+            np.testing.assert_array_equal(got.corrections, corrections)
+            np.testing.assert_array_equal(got.initial_flags, initial)
+
+    @pytest.mark.parametrize("family", WINDOWED)
+    def test_corrector_is_add_with_selects(self, family):
+        adder = catalog_spec(family, 8).to_model()
+        a, b = _exhaustive_pairs(8)
+        for enabled in itertools.product([False, True],
+                                         repeat=len(adder.windows) - 1):
+            np.testing.assert_array_equal(
+                ErrorCorrector(adder, list(enabled)).add(a, b).value,
+                add_with_selects(adder, a, b, list(enabled)))
+
+
+class TestRectifiedCorrection:
+    """cesa_rect@8 rectifies window 2: the mask composes with that stage."""
+
+    @pytest.fixture(scope="class")
+    def adder(self):
+        return catalog_spec("cesa_rect", 8).to_model()
+
+    def _errors(self, value, a, b):
+        return int(np.count_nonzero(np.asarray(value) != a + b))
+
+    def test_no_correction_is_the_model(self, adder):
+        a, b = _exhaustive_pairs(8)
+        plain = np.asarray(adder.add(a, b))
+        assert self._errors(plain, a, b) == 6144
+        result = ErrorCorrector(adder, [False, False]).add(a, b)
+        np.testing.assert_array_equal(result.value, plain)
+        np.testing.assert_array_equal(
+            add_with_selects(adder, a, b, [False, False]), plain)
+
+    @pytest.mark.parametrize("enabled,errors", [
+        ([True, False], 0),   # the rectify stage completes window 2
+        ([False, True], 6144),
+        ([True, True], 0),    # a chained window is not rectified twice
+    ])
+    def test_mask_composes_with_rectify(self, adder, enabled, errors):
+        a, b = _exhaustive_pairs(8)
+        result = ErrorCorrector(adder, enabled).add(a, b)
+        assert self._errors(result.value, a, b) == errors
+        assert self._errors(add_with_selects(adder, a, b, enabled),
+                            a, b) == errors
+
+    def test_spectrum_charges_only_unrepaired_misses(self, adder):
+        spectrum = error_spectrum(adder, samples=20000)
+        assert spectrum.window_miss_rate == [0.0941, 0.0246]
+        assert spectrum.window_error_mass[0] == pytest.approx(spectrum.med)
+
+    @pytest.mark.parametrize("family", UNRECTIFIED)
+    def test_unrectified_spectrum_is_the_true_carry_miss(self, family):
+        # Window i misses when its prediction bits all propagate and the
+        # true carry into its low bit is 1.
+        adder = catalog_spec(family, 8).to_model()
+        spectrum = error_spectrum(adder, samples=20000, seed=7)
+        a, b = UniformOperands(8).sample_pairs(20000, seed=7)
+        expected = []
+        for w in adder.windows[1:]:
+            pm = mask(w.prediction_bits)
+            cp = (((a >> w.low) ^ (b >> w.low)) & pm) == pm
+            carry = ((a & mask(w.low)) + (b & mask(w.low))) >> w.low
+            expected.append(float(np.mean(cp & (carry == 1))))
+        assert spectrum.window_miss_rate == expected
 
 
 class TestFullCorrectionExactness:

@@ -70,14 +70,6 @@ class TestMultiCycleHarness:
         np.testing.assert_array_equal(hres.cycles, cres.cycles)
         np.testing.assert_array_equal(hres.corrections, cres.corrections)
 
-    def test_parallel_policy_exact_and_no_slower(self):
-        nl = build_gear_corrected(8, 1, 2)
-        a, b = _pairs(8)
-        seq = MultiCycleCorrector(nl, policy="sequential").add(a, b)
-        par = MultiCycleCorrector(nl, policy="parallel").add(a, b)
-        np.testing.assert_array_equal(par.value, a + b)
-        assert np.all(par.cycles <= seq.cycles)
-
     def test_partial_enable_respected(self):
         nl = build_gear_corrected(12, 2, 6)
         adder = GeArAdder(GeArConfig(12, 2, 6))
@@ -92,11 +84,6 @@ class TestMultiCycleHarness:
 
         with pytest.raises(ValueError):
             MultiCycleCorrector(build_gear(8, 2, 2))
-
-    def test_harness_validates_policy(self):
-        nl = build_gear_corrected(8, 2, 2)
-        with pytest.raises(ValueError):
-            MultiCycleCorrector(nl, policy="greedy")
 
     def test_harness_validates_mask(self):
         nl = build_gear_corrected(8, 2, 2)

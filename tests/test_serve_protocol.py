@@ -64,6 +64,25 @@ def test_bad_references_raise_protocol_error(ref):
         protocol.resolve_adder(ref)
 
 
+@pytest.mark.parametrize("ref,fragment", [
+    ({"family": "rca", "width": True}, "'width' must be an integer"),
+    ({"family": "rca", "width": 6.5}, "'width' must be an integer"),
+    ({"family": "rca", "width": "6"}, "'width' must be an integer"),
+    ({"gear": [12, 4.5, 4]}, "'r' must be an integer"),
+    ({"gear": [True, 4, 4]}, "'n' must be an integer"),
+    ({"gear": [12, 4, None]}, "'p' must be an integer"),
+])
+def test_reference_integers_refuse_bools_and_fractions(ref, fragment):
+    with pytest.raises(ProtocolError, match=fragment):
+        protocol.resolve_adder(ref)
+
+
+def test_reference_integers_accept_integral_floats():
+    assert protocol.resolve_adder({"family": "rca", "width": 6.0}).width == 6
+    adder = protocol.resolve_adder({"gear": [12.0, 4, 4]})
+    assert (adder.config.n, adder.config.r, adder.config.p) == (12, 4, 4)
+
+
 # ---------------------------------------------------------------------------
 # /eval wire bodies
 # ---------------------------------------------------------------------------
@@ -98,6 +117,28 @@ def test_build_request_full_body():
 def test_build_request_rejects_malformed(wire, fragment):
     with pytest.raises(ProtocolError, match=fragment):
         protocol.build_request(wire)
+
+
+@pytest.mark.parametrize("wire,fragment", [
+    ({"adder": "gear_r2p2", "samples": True, "seed": 6.7},
+     "'samples' must be an integer"),
+    ({"adder": "gear_r2p2", "seed": 6.7}, "'seed' must be an integer"),
+    ({"adder": "gear_r2p2", "seed": False}, "'seed' must be an integer"),
+    ({"adder": "gear_r2p2", "samples": "100"},
+     "'samples' must be an integer"),
+])
+def test_build_request_refuses_bools_and_fractions(wire, fragment):
+    with pytest.raises(ProtocolError, match=fragment):
+        protocol.build_request(wire)
+
+
+def test_build_request_null_seed_and_integral_floats():
+    assert protocol.build_request(
+        {"adder": "gear_r2p2", "seed": None}).seed is None
+    request = protocol.build_request(
+        {"adder": "gear_r2p2", "samples": 500.0, "seed": 6.0})
+    assert (request.samples, request.seed) == (500, 6)
+    assert type(request.seed) is int
 
 
 def test_offline_payload_matches_engine(gear_wire={"adder": "gear_r2p2",
@@ -232,3 +273,18 @@ def test_build_experiment_validates_name():
         protocol.build_experiment({"name": "nope"})
     with pytest.raises(ProtocolError, match="unknown experiment"):
         protocol.build_experiment({})
+
+
+@pytest.mark.parametrize("wire,fragment", [
+    ({"name": "table3", "samples": True}, "'samples' must be an integer"),
+    ({"name": "table3", "seed": 1.5}, "'seed' must be an integer"),
+])
+def test_build_experiment_refuses_bools_and_fractions(wire, fragment):
+    with pytest.raises(ProtocolError, match=fragment):
+        protocol.build_experiment(wire)
+
+
+def test_build_experiment_reads_integral_floats():
+    _, kwargs = protocol.build_experiment(
+        {"name": "table3", "samples": 100.0, "seed": None})
+    assert kwargs == {"samples": 100}

@@ -63,6 +63,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown adder"):
             select_entries(["rca", "bogus"])
 
+    def test_empty_selection_selects_nothing(self):
+        from repro.verify import verify_registry
+
+        assert select_entries([]) == []
+        assert verify_registry([]) == []
+
 
 class TestFingerprintSafety:
     """No two behaviourally distinct adders may share a fingerprint."""
