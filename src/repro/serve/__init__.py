@@ -7,8 +7,10 @@ requests instead of per process:
 
 * :mod:`repro.serve.protocol` — JSON wire protocol, adder references,
   canonical response encoding (byte-identical to ``gear ... --json``),
+* :mod:`repro.serve.memo` — bounded memo of completed response bytes
+  keyed by result identity,
 * :mod:`repro.serve.coalesce` — in-flight request coalescing keyed by
-  result identity,
+  the same identity,
 * :mod:`repro.serve.pool` — persistent warm worker pool with telemetry
   frames shipped back across process boundaries,
 * :mod:`repro.serve.daemon` — the asyncio HTTP daemon: ``/eval``,
@@ -27,6 +29,7 @@ from repro.serve.daemon import (
     ServeDaemon,
     start_background,
 )
+from repro.serve.memo import ResultMemo
 from repro.serve.pool import WorkerPool
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -45,6 +48,7 @@ __all__ = [
     "DEFAULT_PORT",
     "Coalescer",
     "ProtocolError",
+    "ResultMemo",
     "ServeClient",
     "ServeDaemon",
     "ServeError",

@@ -8,7 +8,7 @@ raise :class:`ServeError` carrying the status and the daemon's
 
 :func:`replay` drives a mixed request script concurrently (one
 connection per thread) and reports per-request latencies plus the
-daemon's coalescing counters — the engine behind
+daemon's memo and coalescing counters — the engine behind
 ``gear client replay`` and ``benchmarks/bench_serve_load.py``.
 """
 
@@ -148,8 +148,10 @@ def replay(script: List[Dict], host: str = DEFAULT_HOST,
     ``script`` is a list of ``{"endpoint": "eval"|"verify"|"experiment",
     "body": {...}}`` items (a bare eval wire body is accepted as
     shorthand).  Returns latency and error aggregates plus the daemon's
-    coalescing counters sampled before and after the run, so callers
-    can attribute hits to this replay.
+    memo and coalescing counters sampled before and after the run, so
+    callers can attribute hits to this replay: ``memo.hits`` requests
+    were answered from memory, ``coalesce.hits`` shared a computation in
+    flight, and ``coalesce.misses`` computed.
     """
     items = []
     for i, item in enumerate(script):
@@ -181,10 +183,10 @@ def replay(script: List[Dict], host: str = DEFAULT_HOST,
             return time.perf_counter() - t0, str(exc)
 
     with ServeClient(host, port, timeout=timeout) as probe:
-        before = probe.stats()["server"]["coalesce"]
+        before = probe.stats()["server"]
         with ThreadPoolExecutor(max_workers=max(1, int(concurrency))) as pool:
             outcomes = list(pool.map(one, items))
-        after = probe.stats()["server"]["coalesce"]
+        after = probe.stats()["server"]
 
     latencies = sorted(t for t, _ in outcomes)
     errors = [err for _, err in outcomes if err is not None]
@@ -195,8 +197,8 @@ def replay(script: List[Dict], host: str = DEFAULT_HOST,
         return latencies[min(len(latencies) - 1,
                              max(0, int(q * len(latencies)) - 1))]
 
-    hits = after["hits"] - before["hits"]
-    misses = after["misses"] - before["misses"]
+    hits = after["coalesce"]["hits"] - before["coalesce"]["hits"]
+    misses = after["coalesce"]["misses"] - before["coalesce"]["misses"]
     total = hits + misses
     return {
         "requests": len(items),
@@ -205,6 +207,9 @@ def replay(script: List[Dict], host: str = DEFAULT_HOST,
             "p50": pct(0.50),
             "p99": pct(0.99),
             "max": latencies[-1] if latencies else 0.0,
+        },
+        "memo": {
+            "hits": after["memo"]["hits"] - before["memo"]["hits"],
         },
         "coalesce": {
             "hits": hits,

@@ -10,16 +10,18 @@ the conformance harness and the experiment registry as five endpoints:
   (:func:`repro.verify.runner.verify_payload`).
 * ``POST /experiment`` — any registered experiment by name.
 * ``GET /healthz`` — liveness, protocol version, drain state.
-* ``GET /stats`` — per-endpoint request counters, coalescing totals,
-  p50/p99 latency from mergeable histograms, and the full telemetry
-  report aggregated across worker frames.
+* ``GET /stats`` — per-endpoint request counters, memo and coalescing
+  totals, p50/p99 latency from mergeable histograms, and the full
+  telemetry report aggregated across worker frames.
 
 Request flow: the event loop parses HTTP and validates the wire body
-(bad requests never reach a worker), computes the request's result
-identity, and hands the computation to the
-:class:`~repro.serve.coalesce.Coalescer` — concurrent duplicates share
-one worker-pool task.  Workers return ``(payload, telemetry frame)``;
-the daemon absorbs each frame into its aggregate collector, which is
+(bad requests never reach a worker) and computes the request's result
+identity.  A request answered before is served from the
+:class:`~repro.serve.memo.ResultMemo` of completed 200 bodies; any
+other goes to the :class:`~repro.serve.coalesce.Coalescer` — concurrent
+duplicates share one worker-pool task.  Workers return ``(payload,
+telemetry frame)``; the daemon encodes the payload once, remembers the
+bytes, and absorbs the frame into its aggregate collector, which is
 the single source for ``/stats`` and, on shutdown, for the global obs
 layer (so ``gear serve --trace serve.jsonl`` writes a standard trace
 that ``gear obs report`` renders).
@@ -36,13 +38,14 @@ import json
 import math
 import signal
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro import obs
 from repro.obs.aggregate import DURATION_BOUNDS, TelemetryFrame
 from repro.obs.export import report_to_json
 from repro.serve import protocol
 from repro.serve.coalesce import Coalescer
+from repro.serve.memo import ResultMemo
 from repro.serve.pool import WorkerPool
 
 __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ServeDaemon", "start_background"]
@@ -86,6 +89,7 @@ class ServeDaemon:
         self.drain_timeout = float(drain_timeout)
         self._ready = ready
         self.collector = obs.Collector()
+        self.memo = ResultMemo()
         self.coalescer = Coalescer()
         self.pool: Optional[WorkerPool] = None
         self.draining = False
@@ -253,8 +257,10 @@ class ServeDaemon:
         return method.upper(), path, keep_alive, body
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: Dict, keep_alive: bool) -> None:
-        body = protocol.canonical_bytes(payload)
+                       payload: Union[Dict, bytes], keep_alive: bool) -> None:
+        # Worker answers arrive already encoded (the memo keeps bytes).
+        body = (payload if isinstance(payload, bytes)
+                else protocol.canonical_bytes(payload))
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: application/json\r\n"
@@ -268,7 +274,7 @@ class ServeDaemon:
     # -- dispatch ------------------------------------------------------------
 
     async def _dispatch(self, method: str, path: str,
-                        body: bytes) -> Tuple[int, Dict]:
+                        body: bytes) -> Tuple[int, Union[Dict, bytes]]:
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}
@@ -294,9 +300,14 @@ class ServeDaemon:
         except ValueError as exc:  # e.g. explicitly unsupported backend
             return 400, {"error": str(exc)}
 
+        if key is not None:
+            remembered = self.memo.get(key)
+            if remembered is not None:
+                self.collector.count(f"serve.{endpoint}.remembered")
+                return 200, remembered
         try:
-            payload, coalesced = await self.coalescer.run(
-                key, lambda: self._execute(endpoint, wire))
+            answer, coalesced = await self.coalescer.run(
+                key, lambda: self._execute(endpoint, wire, key))
         except protocol.ProtocolError as exc:
             self.collector.count(f"serve.{endpoint}.protocol_errors")
             return 400, {"error": str(exc)}
@@ -307,10 +318,14 @@ class ServeDaemon:
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
         self.collector.count(
             f"serve.coalesce.{'hit' if coalesced else 'miss'}")
-        return 200, payload
+        return 200, answer
 
     def _coalesce_key(self, endpoint: str, wire: Dict) -> Optional[str]:
-        """Validate the wire body and derive its in-flight identity."""
+        """Validate the wire body and derive its result identity.
+
+        The identity keys both the memo and the coalescer; None (an
+        unseeded Monte-Carlo draw) is neither remembered nor coalesced.
+        """
         if endpoint == "eval":
             return protocol.eval_coalesce_key(protocol.build_request(wire))
         if endpoint == "verify":
@@ -319,14 +334,23 @@ class ServeDaemon:
             protocol.build_experiment(wire)
         return protocol.wire_coalesce_key(endpoint, wire)
 
-    async def _execute(self, endpoint: str, wire: Dict) -> Dict:
-        """Ship one request to the pool and fold its telemetry home."""
+    async def _execute(self, endpoint: str, wire: Dict,
+                       key: Optional[str]) -> bytes:
+        """Ship one request to the pool, fold its telemetry home, and
+        remember the encoded answer under ``key`` (None: not at all).
+
+        The memo is written before the coalescer releases ``key``, so no
+        repeat can fall between the two tiers and compute again.
+        """
         self.collector.count(f"serve.{endpoint}.computed")
         future = self.pool.submit(endpoint, wire)
         payload, frame = await asyncio.wrap_future(future)
         if frame:
             self.collector.absorb(TelemetryFrame.from_dict(frame))
-        return payload
+        body = protocol.canonical_bytes(payload)
+        if key is not None:
+            self.memo.put(key, body)
+        return body
 
     # -- introspection payloads ----------------------------------------------
 
@@ -357,6 +381,12 @@ class ServeDaemon:
                 "workers": self.workers,
                 "draining": self.draining,
                 "inflight_requests": self._inflight,
+                "worker_respawns": self.pool.respawns,
+                "memo": {
+                    "hits": self.memo.hits,
+                    "entries": len(self.memo),
+                    "bytes": self.memo.bytes,
+                },
                 "coalesce": {
                     "hits": self.coalescer.hits,
                     "misses": self.coalescer.misses,

@@ -17,11 +17,20 @@ own pool workers do (``docs/obs.md``), so ``/stats`` reports engine
 counters (shards executed, cache hits, backend dispatch) accumulated
 across process boundaries — and because frames form a commutative
 monoid, the aggregate is independent of request interleaving.
+
+A worker process that dies (OOM killer, SIGKILL, a segfault) breaks a
+``ProcessPoolExecutor`` for good: the requests it held fail with
+``BrokenProcessPool``, and so would every later submission.  The pool
+therefore replaces a broken executor on the next submission, so one
+lost worker costs the requests in flight at that moment, not the
+daemon.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Optional, Tuple
 
 from repro import obs
@@ -124,26 +133,44 @@ class WorkerPool:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.workers = int(workers)
-        config = {
+        self._config = {
             "jobs": int(jobs),
             "cache": None if cache is None else str(cache),
             "cache_bytes": cache_bytes,
         }
+        self._lock = threading.Lock()
+        #: Executors replaced after a worker process died.
+        self.respawns = 0
+        self._executor = self._new_executor()
+
+    def _new_executor(self):
         if self.workers >= 1:
-            self._executor = ProcessPoolExecutor(
+            return ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=_configure, initargs=(config,))
-        else:
-            # Single in-process worker thread; max_workers=1 serialises
-            # execution, which makes the collector swap in run_endpoint
-            # safe without thread-local obs state.
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="serve-worker",
-                initializer=_configure, initargs=(config,))
+                initializer=_configure, initargs=(self._config,))
+        # Single in-process worker thread; max_workers=1 serialises
+        # execution, which makes the collector swap in run_endpoint
+        # safe without thread-local obs state.
+        return ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-worker",
+            initializer=_configure, initargs=(self._config,))
 
     def submit(self, endpoint: str, wire: Dict) -> Future:
-        """Schedule one request; the future resolves to (payload, frame)."""
-        return self._executor.submit(run_endpoint, endpoint, wire)
+        """Schedule one request; the future resolves to (payload, frame).
+
+        A broken process pool is replaced by a fresh one first.
+        """
+        executor = self._executor
+        try:
+            return executor.submit(run_endpoint, endpoint, wire)
+        except BrokenProcessPool:
+            with self._lock:
+                if self._executor is executor:
+                    executor.shutdown(wait=False)
+                    self._executor = self._new_executor()
+                    self.respawns += 1
+                executor = self._executor
+        return executor.submit(run_endpoint, endpoint, wire)
 
     def shutdown(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)

@@ -29,7 +29,10 @@ answers repeat references without rebuilding models or recompiling
 kernels.
 
 Malformed or unsupported requests raise :class:`ProtocolError`, which
-the daemon maps to HTTP 400 with an ``{"error": ...}`` body.
+the daemon maps to HTTP 400 with an ``{"error": ...}`` body.  An adder
+wider than :data:`MAX_WIDTH` is one: references are resolved on the
+daemon's event loop, and building a model costs time linear in its
+width.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.engine import api
 __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_WIDTH",
+    "MAX_WIDTH",
     "ProtocolError",
     "build_experiment",
     "build_request",
@@ -60,6 +64,10 @@ PROTOCOL_VERSION = 1
 
 #: Adder width used when a reference does not name one.
 DEFAULT_WIDTH = 8
+
+#: Widest adder a wire body may name: four times the widest adder the
+#: paper and the spec catalog evaluate (64 bits).
+MAX_WIDTH = 256
 
 #: Evaluation modes that have a wire form.
 WIRE_MODES = ("monte_carlo", "exhaustive")
@@ -91,6 +99,15 @@ def _integer_field(wire: Dict, key: str, default: Optional[int]) -> int:
     return value
 
 
+def _width_field(wire: Dict, key: str, default: Optional[int]) -> int:
+    """An integer width field no larger than :data:`MAX_WIDTH`."""
+    width = _integer_field(wire, key, default)
+    if width > MAX_WIDTH:
+        raise ProtocolError(f"{key!r} must be at most {MAX_WIDTH}, "
+                            f"got {width}")
+    return width
+
+
 # -- adder references --------------------------------------------------------
 
 @functools.lru_cache(maxsize=512)
@@ -112,7 +129,11 @@ def _gear_adder(n: int, r: int, p: int):
 def _spec_adder(document: str):
     from repro.spec.ir import AdderSpec
 
-    return AdderSpec.from_dict(json.loads(document)).to_model()
+    spec = AdderSpec.from_dict(json.loads(document))
+    if spec.width > MAX_WIDTH:
+        raise ProtocolError(f"spec width must be at most {MAX_WIDTH}, "
+                            f"got {spec.width}")
+    return spec.to_model()
 
 
 def resolve_adder(ref: Any):
@@ -124,11 +145,12 @@ def resolve_adder(ref: Any):
             if "family" in ref:
                 return _family_adder(
                     str(ref["family"]),
-                    _integer_field(ref, "width", DEFAULT_WIDTH))
+                    _width_field(ref, "width", DEFAULT_WIDTH))
             if "gear" in ref:
                 n, r, p = ref["gear"]
                 gear = {"n": n, "r": r, "p": p}
-                n, r, p = (_integer_field(gear, key, None) for key in "nrp")
+                n = _width_field(gear, "n", None)
+                r, p = (_integer_field(gear, key, None) for key in "rp")
                 return _gear_adder(n, r, p)
             if "spec" in ref:
                 return _spec_adder(json.dumps(ref["spec"], sort_keys=True))
@@ -249,7 +271,7 @@ def build_verify_options(wire: Dict) -> Tuple[Optional[List[str]], object]:
                             f"layer names from {list(LAYERS)}")
     try:
         options = VerifyOptions(
-            width=_integer_field(wire, "width", DEFAULT_WIDTH),
+            width=_width_field(wire, "width", DEFAULT_WIDTH),
             layers=tuple(layers),
             seed=_integer_field(wire, "seed", 2015),
             samples=_integer_field(wire, "samples", 50_000),
@@ -272,7 +294,7 @@ def build_experiment(wire: Dict) -> Tuple[str, Dict]:
 
     _check_keys(wire, _EXPERIMENT_KEYS, "experiment")
     name = wire.get("name")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ProtocolError(f"unknown experiment {name!r}; registered: "
                             f"{', '.join(sorted(EXPERIMENTS))}")
     kwargs: Dict[str, Any] = {}

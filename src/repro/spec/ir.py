@@ -73,6 +73,25 @@ STATIC_APPROX = ("or", "hoeraa")
 #: ripple chain from the lowest enabled tap to the sum MSB.
 RECTIFY_KINDS = ("ripple",)
 
+
+def _document(data: Any, what: str) -> Dict[str, Any]:
+    """``data`` as a JSON object, or a ValueError naming ``what``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, "
+                         f"got {type(data).__name__}")
+    return data
+
+
+def _int_field(data: Dict[str, Any], key: str, *default: Any) -> int:
+    """``int(data[key])``; a missing or non-numeric field is a ValueError."""
+    if key not in data and not default:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return int(data.get(key, *default))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
 #: Sub-adder architectures the window compiler knows how to build.
 ARCHS = ("rca", "cla", "ksa")
 
@@ -211,13 +230,13 @@ class WindowSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "WindowSpec":
         known = {"low", "high", "result_low", "result_high", "arch", "pred",
                  "kind", "approx"}
-        unknown = set(data) - known
+        unknown = set(_document(data, "a window")) - known
         if unknown:
             raise ValueError(f"unknown window fields {sorted(unknown)}")
         approx = data.get("approx")
-        return cls(low=int(data["low"]), high=int(data["high"]),
-                   result_low=int(data["result_low"]),
-                   result_high=int(data["result_high"]),
+        return cls(low=_int_field(data, "low"), high=_int_field(data, "high"),
+                   result_low=_int_field(data, "result_low"),
+                   result_high=_int_field(data, "result_high"),
                    arch=str(data.get("arch", "rca")),
                    pred=str(data.get("pred", "fused")),
                    kind=str(data.get("kind", "speculative")),
@@ -260,7 +279,7 @@ class RectifySpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RectifySpec":
         known = {"kind", "enabled"}
-        unknown = set(data) - known
+        unknown = set(_document(data, "rectify")) - known
         if unknown:
             raise ValueError(f"unknown rectify fields {sorted(unknown)}")
         enabled = data.get("enabled")
@@ -457,7 +476,9 @@ class AdderSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AdderSpec":
-        version = int(data.get("version", SPEC_VERSION))
+        """Parse a spec document; a malformed one raises ValueError."""
+        version = _int_field(_document(data, "a spec document"), "version",
+                             SPEC_VERSION)
         if version not in SUPPORTED_SPEC_VERSIONS:
             known_versions = " and ".join(map(str, SUPPORTED_SPEC_VERSIONS))
             raise ValueError(
@@ -469,6 +490,8 @@ class AdderSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown spec fields {sorted(unknown)}")
+        if not isinstance(data.get("windows"), list):
+            raise ValueError("'windows' must be a list of window objects")
         windows = []
         for i, wd in enumerate(data["windows"]):
             try:
@@ -479,7 +502,7 @@ class AdderSpec:
         if data.get("rectify") is not None:
             try:
                 rectify = RectifySpec.from_dict(data["rectify"])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"rectify: {exc}") from None
         if version == 1 and (rectify is not None
                              or any(w.is_static for w in windows)):
@@ -487,11 +510,13 @@ class AdderSpec:
                 'version 1 documents cannot declare static windows or a '
                 'rectify stage; set "version": 2'
             )
+        if "name" not in data:
+            raise ValueError("missing field 'name'")
         return cls(
             name=str(data["name"]),
-            width=int(data["width"]),
+            width=_int_field(data, "width"),
             windows=tuple(windows),
-            truncation=int(data.get("truncation", 0)),
+            truncation=_int_field(data, "truncation", 0),
             error_detect=bool(data.get("error_detect", False)),
             rectify=rectify,
         )
@@ -501,10 +526,7 @@ class AdderSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "AdderSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("spec JSON must be an object")
-        return cls.from_dict(data)
+        return cls.from_dict(json.loads(text))
 
     def renamed(self, name: str) -> "AdderSpec":
         """The same spec under a different name (and fingerprint)."""

@@ -58,6 +58,9 @@ def test_resolution_is_memoised():
     {"unknown_kind": 1},
     42,
     None,
+    {"spec": None},
+    {"spec": [1, 2]},
+    {"spec": {}},
 ])
 def test_bad_references_raise_protocol_error(ref):
     with pytest.raises(ProtocolError):
@@ -73,6 +76,22 @@ def test_bad_references_raise_protocol_error(ref):
     ({"gear": [12, 4, None]}, "'p' must be an integer"),
 ])
 def test_reference_integers_refuse_bools_and_fractions(ref, fragment):
+    with pytest.raises(ProtocolError, match=fragment):
+        protocol.resolve_adder(ref)
+
+
+def _wide_spec_document():
+    from repro.spec.catalog import catalog_spec
+
+    return catalog_spec("rca", protocol.MAX_WIDTH + 1).to_dict()
+
+
+@pytest.mark.parametrize("ref,fragment", [
+    ({"family": "rca", "width": 257}, "'width' must be at most 256"),
+    ({"gear": [10 ** 6, 1, 1]}, "'n' must be at most 256"),
+    ({"spec": _wide_spec_document()}, "spec width must be at most 256"),
+])
+def test_references_wider_than_max_width_are_refused(ref, fragment):
     with pytest.raises(ProtocolError, match=fragment):
         protocol.resolve_adder(ref)
 
@@ -245,6 +264,7 @@ def test_build_verify_options_defaults_and_validation():
     ({"backend": "nope"}, "unknown backend 'nope'"),
     ({"adders": ["etaii_l4"], "width": 7}, "no registered adder supports"),
     ({"width": 0}, "width must be >= 1"),
+    ({"width": 10 ** 9}, "'width' must be at most 256"),
 ])
 def test_build_verify_options_rejects_at_parse_time(wire, fragment):
     with pytest.raises(ProtocolError, match=fragment):
@@ -273,6 +293,8 @@ def test_build_experiment_validates_name():
         protocol.build_experiment({"name": "nope"})
     with pytest.raises(ProtocolError, match="unknown experiment"):
         protocol.build_experiment({})
+    with pytest.raises(ProtocolError, match="unknown experiment"):
+        protocol.build_experiment({"name": ["table3"]})
 
 
 @pytest.mark.parametrize("wire,fragment", [

@@ -108,6 +108,34 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="must be an object"):
             AdderSpec.from_json("[1, 2, 3]")
 
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("windows", None, "'windows' must be a list"),
+        ("windows", [[]], "window 0: a window must be an object"),
+        ("width", float("inf"), "field 'width'"),
+        ("width", None, "field 'width'"),
+        ("version", [2], "field 'version'"),
+        ("rectify", ["kind"], "rectify: rectify must be an object"),
+    ])
+    def test_malformed_fields_raise_value_error(self, field, value,
+                                                fragment):
+        data = exact_spec(8).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=fragment):
+            AdderSpec.from_dict(data)
+
+    def test_malformed_window_fields_raise_value_error(self):
+        data = exact_spec(8).to_dict()
+        data["windows"][0]["low"] = float("inf")
+        with pytest.raises(ValueError, match="window 0: field 'low'"):
+            AdderSpec.from_dict(data)
+        del data["windows"][0]["low"]
+        with pytest.raises(ValueError, match="window 0: missing field 'low'"):
+            AdderSpec.from_dict(data)
+        data = exact_spec(8).to_dict()
+        del data["name"]
+        with pytest.raises(ValueError, match="missing field 'name'"):
+            AdderSpec.from_dict(data)
+
 
 class TestFingerprint:
     @given(gear_geometries())
