@@ -5,8 +5,8 @@ workload the kernel exists for: campaign-style repeated evaluation of a
 GeAr N=32 netlist (fault sweeps, conformance sweeps, engine shards),
 where the operand set is packed once and the kernel is replayed many
 times.  The interpreter walks the gate graph with one boolean array per
-net on every replay; the kernel replays straight-line ``uint64`` word
-ops over lanes (:mod:`repro.rtl.compile`).
+net on every replay; the kernel replays a level program of grouped
+``uint64`` word ops over lanes (:mod:`repro.rtl.compile`).
 
 The acceptance floor is a 20x sustained-throughput advantage for the
 compiled kernel at N=32.  The CI ``compile-smoke`` job runs
@@ -77,7 +77,7 @@ def _cold_single_batch_ratio(netlist, stimulus) -> float:
     """One end-to-end kernel run (pack + eval + unpack) vs one interpreter
     pass — informational only."""
     kernel = compile_netlist(netlist)
-    kernel.run(stimulus)  # warm the ufunc/codegen path
+    kernel.run(stimulus)  # warm the ufunc and allocation paths
     start = time.perf_counter()
     kernel.run(stimulus)
     compiled_s = time.perf_counter() - start

@@ -181,9 +181,9 @@ class Netlist:
         """Gates grouped by logic depth (level 0 = inputs and constants).
 
         Gates within one level are mutually independent, so each level is
-        safe to evaluate as one straight-line block — the structure the
-        bit-sliced kernel compiler (:mod:`repro.rtl.compile`) emits code
-        from.  Memoised alongside :meth:`topological_order`; treat the
+        safe to evaluate as one block in any order — the structure the
+        bit-sliced kernel compiler (:mod:`repro.rtl.compile`) groups into
+        its level program.  Memoised alongside :meth:`topological_order`; treat the
         result as read-only.
         """
         if self._level_cache is None:

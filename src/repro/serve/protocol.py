@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import api
@@ -176,6 +177,20 @@ def _check_keys(wire: Dict, allowed: set, what: str) -> None:
 
 # -- /eval -------------------------------------------------------------------
 
+def _thresholds_field(value: Any) -> Tuple[float, ...]:
+    """MAA thresholds: a JSON list of finite numbers, booleans excluded.
+
+    ``abs(t) <= float max`` also refuses NaN, infinities and integers
+    too large to convert.
+    """
+    if isinstance(value, list) and all(
+            type(t) in (int, float) and abs(t) <= sys.float_info.max
+            for t in value):
+        return tuple(float(t) for t in value)
+    raise ProtocolError(f"bad thresholds: expected a list of finite "
+                        f"numbers, got {value!r}")
+
+
 def build_request(wire: Dict) -> "api.EvalRequest":
     """Turn an ``/eval`` wire body into an :class:`EvalRequest`."""
     _check_keys(wire, _EVAL_KEYS, "eval")
@@ -192,11 +207,7 @@ def build_request(wire: Dict) -> "api.EvalRequest":
         "backend": str(wire.get("backend", "sampling")),
     }
     if "thresholds" in wire:
-        try:
-            kwargs["maa_thresholds"] = tuple(
-                float(t) for t in wire["thresholds"])
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad thresholds: {exc}") from exc
+        kwargs["maa_thresholds"] = _thresholds_field(wire["thresholds"])
     if mode == "monte_carlo":
         kwargs["samples"] = _integer_field(wire, "samples", 10_000)
         # An explicit null seed asks for an unseeded draw.

@@ -71,9 +71,17 @@ class OperandDistribution(abc.ABC):
 
 
 class UniformOperands(OperandDistribution):
-    """Independent uniform operands — the paper's evaluation setting (§4.4)."""
+    """Independent uniform operands — the paper's evaluation setting (§4.4).
+
+    :meth:`sample` draws at most 62-bit operands, so that ``a + b`` fits
+    int64; construction and :meth:`bit_probabilities` hold at any width.
+    """
 
     def sample(self, count: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        if self.width > 62:
+            raise ValueError(
+                "UniformOperands samples at most 62-bit operands (their sums "
+                f"must fit int64), got width {self.width}")
         high = 1 << self.width
         a = rng.integers(0, high, size=count, dtype=np.int64)
         b = rng.integers(0, high, size=count, dtype=np.int64)

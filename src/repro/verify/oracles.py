@@ -184,8 +184,8 @@ def check_compiled(model: AdderModel, vectors: VectorSet,
     """Layer: interpreted netlist simulation vs the compiled bit-sliced kernel.
 
     Exact bit-equality on *every* output bus between the gate-by-gate
-    interpreter (:func:`repro.rtl.sim.simulate_bus`) and the straight-line
-    word-level kernel (:mod:`repro.rtl.compile`) over the shared vector
+    interpreter (:func:`repro.rtl.sim.simulate_bus`) and the word-level
+    level program of :mod:`repro.rtl.compile` over the shared vector
     set — exhaustive at the default verify width, so the kernel compiler
     is proven, not sampled, for every registry family.
     """

@@ -42,6 +42,15 @@ class TestUniform:
         with pytest.raises((ValueError, TypeError)):
             UniformOperands(0)
 
+    def test_samples_at_most_62_bits(self):
+        a, b = UniformOperands(62).sample_pairs(1000, seed=5)
+        assert (a + b).min() >= 0  # the sum still fits int64
+        for width in (63, 64, 128):
+            dist = UniformOperands(width)
+            assert dist.bit_probabilities() == (0.5,) * width
+            with pytest.raises(ValueError, match="at most 62-bit"):
+                dist.sample_pairs(10, seed=1)
+
 
 class TestGaussian:
     def test_range_and_concentration(self):

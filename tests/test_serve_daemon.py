@@ -125,6 +125,16 @@ def test_bad_eval_bodies_are_400(client, wire, fragment):
     assert fragment in excinfo.value.message
 
 
+def test_sampling_wider_than_62_bits_is_400_but_analytic_answers(client):
+    wide = {"family": "rca", "width": 64}
+    with pytest.raises(ServeError) as excinfo:
+        client.eval({"adder": wide, "samples": 200})
+    assert excinfo.value.status == 400
+    assert "samples at most 62-bit operands" in excinfo.value.message
+    payload = client.eval({"adder": wide, "backend": "analytic"})
+    assert payload["error_rate"] == 0.0
+
+
 def test_unsupported_backend_is_400_not_500(client):
     with pytest.raises(ServeError) as excinfo:
         client.eval({"adder": "gear_r2p2", "backend": "nope"})

@@ -151,6 +151,20 @@ def test_build_request_refuses_bools_and_fractions(wire, fragment):
         protocol.build_request(wire)
 
 
+@pytest.mark.parametrize("thresholds", [
+    "123",          # a string once iterated into (1.0, 2.0, 3.0)
+    {"5": 1},       # an object once iterated into its keys
+    [True, 2],      # a bool once read as 1.0
+    [1, float("nan")],
+    [10 ** 400],
+])
+def test_build_request_thresholds_must_be_a_list_of_finite_numbers(
+        thresholds):
+    with pytest.raises(ProtocolError, match="bad thresholds"):
+        protocol.build_request({"adder": "gear_r2p2",
+                                "thresholds": thresholds})
+
+
 def test_build_request_null_seed_and_integral_floats():
     assert protocol.build_request(
         {"adder": "gear_r2p2", "seed": None}).seed is None
