@@ -8,8 +8,8 @@ unit-delay model as an ASIC logic-depth proxy (CLA's shallow trees win).
 """
 
 from repro.analysis.tables import format_table
-from repro.rtl.builders import build_gear
 from repro.rtl.sta import UnitDelayModel, critical_path_delay
+from repro.spec.catalog import gear_spec
 from repro.timing.fpga import FPGA_DELAY_MODEL
 
 
@@ -18,7 +18,8 @@ def _run():
     for p in (2, 4, 8):
         strict = (16 - 4 - p) % 4 == 0
         for style in ("rca", "cla"):
-            nl = build_gear(16, 4, p, sub_adder=style, allow_partial=not strict)
+            nl = gear_spec(16, 4, p, allow_partial=not strict,
+                           arch=style).to_netlist()
             rows.append(
                 {
                     "p": p,

@@ -22,9 +22,9 @@ import time
 
 import numpy as np
 
-from repro.rtl.builders import build_gear
 from repro.rtl.compile import compile_netlist, pack_operands
 from repro.rtl.sim import simulate
+from repro.spec.catalog import gear_spec
 
 N = 32
 R, P = 4, 4
@@ -37,7 +37,7 @@ MIN_SPEEDUP = 20.0
 
 
 def _workload():
-    netlist = build_gear(N, R, P)
+    netlist = gear_spec(N, R, P).to_netlist()
     rng = np.random.default_rng(SEED)
     stimulus = {
         bus: rng.integers(0, 1 << width, size=VECTORS, dtype=np.int64)

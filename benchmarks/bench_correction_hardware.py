@@ -11,8 +11,9 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.core.correction import ErrorCorrector
 from repro.core.gear import GeArAdder, GeArConfig
-from repro.rtl.builders import build_gear, build_gear_corrected
+from repro.rtl.builders import build_gear_corrected
 from repro.rtl.correction_harness import MultiCycleCorrector
+from repro.spec.catalog import gear_spec
 from repro.timing.fpga import characterize_netlist
 
 CONFIGS = [(12, 4, 4), (12, 2, 6), (16, 2, 2)]
@@ -28,7 +29,7 @@ def _run():
         netlist = build_gear_corrected(n, r, p)
         hw = MultiCycleCorrector(netlist).add(a, b)
         sw = ErrorCorrector(GeArAdder(GeArConfig(n, r, p))).add(a, b)
-        plain = characterize_netlist(build_gear(n, r, p))
+        plain = characterize_netlist(gear_spec(n, r, p).to_netlist())
         corrected = characterize_netlist(netlist)
         rows.append(
             {

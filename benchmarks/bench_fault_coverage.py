@@ -9,17 +9,18 @@ error-detection hardware.
 """
 
 from repro.analysis.tables import format_table
-from repro.rtl.builders import build_gear, build_gear_corrected, build_rca
+from repro.rtl.builders import build_gear_corrected
 from repro.rtl.faults import fault_simulation
+from repro.spec.catalog import exact_spec, gear_spec
 
 VECTORS = 192
 
 
 def _run():
     designs = {
-        "RCA(8)": build_rca(8),
-        "GeAr(8,2,2)": build_gear(8, 2, 2),
-        "GeAr(12,4,4)": build_gear(12, 4, 4),
+        "RCA(8)": exact_spec(8).to_netlist(),
+        "GeAr(8,2,2)": gear_spec(8, 2, 2).to_netlist(),
+        "GeAr(12,4,4)": gear_spec(12, 4, 4).to_netlist(),
         "GeAr(12,4,4)+corr": build_gear_corrected(12, 4, 4),
     }
     rows = []

@@ -15,13 +15,13 @@ design:
 import pathlib
 
 from repro.core.gear import GeArAdder, GeArConfig
-from repro.rtl.builders import build_gear
 from repro.rtl.equivalence import check_equivalence
 from repro.rtl.faults import fault_simulation
 from repro.rtl.sim import simulate_bus
 from repro.rtl.testbench import generate_testbench
 from repro.rtl.verilog import to_verilog
 from repro.rtl.verilog_parser import parse_verilog
+from repro.spec.catalog import gear_spec
 
 import numpy as np
 
@@ -29,7 +29,7 @@ import numpy as np
 def main() -> None:
     config = GeArConfig(10, 2, 4)
     adder = GeArAdder(config)
-    netlist = build_gear(10, 2, 4)
+    netlist = gear_spec(10, 2, 4, name="gear").to_netlist()
 
     # 1. netlist vs behavioural model, exhaustively (2^20 patterns).
     size = 1 << 10

@@ -9,8 +9,8 @@
   correction scheme of §3.3, with cycle accounting,
 * :mod:`repro.core.configspace` — enumeration of valid configurations
   (the design-space results of Fig. 1 / Fig. 7),
-* :mod:`repro.core.coverage` — mappings between GeAr configurations and the
-  state-of-the-art adders it subsumes.
+* :mod:`repro.core.coverage` — classification of GeAr configurations into
+  the state-of-the-art adders they subsume.
 """
 
 from repro.core.gear import GeArConfig, GeArAdder
@@ -35,13 +35,7 @@ from repro.core.multiplier import (
     make_exact_multiplier,
     make_gear_multiplier,
 )
-from repro.core.coverage import (
-    gear_as_aca1,
-    gear_as_aca2,
-    gear_as_etaii,
-    gear_covers_gda,
-    classify_config,
-)
+from repro.core.coverage import classify_config
 
 __all__ = [
     "GeArConfig",
@@ -62,9 +56,5 @@ __all__ = [
     "ApproximateMultiplier",
     "make_exact_multiplier",
     "make_gear_multiplier",
-    "gear_as_aca1",
-    "gear_as_aca2",
-    "gear_as_etaii",
-    "gear_covers_gda",
     "classify_config",
 ]

@@ -2,9 +2,10 @@
 
 §3.1 shows GeAr realises ACA-I with (R=1, P=L-1), ACA-II and ETAII with
 (R=L/2, P=L/2), and every GDA configuration whose carry-prediction depth is
-uniform across sub-adders.  These helpers construct the corresponding
-:class:`~repro.core.gear.GeArConfig` objects and classify arbitrary
-configurations back to the architectures they cover.
+uniform across sub-adders.  The forward direction lives on the adder
+factories (:mod:`repro.adders`), which carry their coverage point as
+``config``; :func:`classify_config` maps an arbitrary configuration back to
+the architectures it covers.
 """
 
 from __future__ import annotations
@@ -12,40 +13,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.gear import GeArConfig
-from repro.utils.validation import check_pos_int
-
-
-def gear_as_aca1(n: int, sub_adder_len: int, allow_partial: bool = True) -> GeArConfig:
-    """ACA-I [8] with L-bit sub-adders: GeAr(N, 1, L-1)."""
-    check_pos_int("sub_adder_len", sub_adder_len)
-    if sub_adder_len < 2:
-        raise ValueError("ACA-I needs a sub-adder length of at least 2")
-    return GeArConfig(n, 1, sub_adder_len - 1, allow_partial=allow_partial)
-
-
-def gear_as_aca2(n: int, sub_adder_len: int, allow_partial: bool = True) -> GeArConfig:
-    """ACA-II [10] with L-bit sub-adders: GeAr(N, L/2, L/2)."""
-    if sub_adder_len % 2 != 0:
-        raise ValueError("ACA-II needs an even sub-adder length")
-    half = sub_adder_len // 2
-    strict = (n - sub_adder_len) % half == 0
-    return GeArConfig(n, half, half, allow_partial=allow_partial and not strict)
-
-
-def gear_as_etaii(n: int, sub_adder_len: int, allow_partial: bool = True) -> GeArConfig:
-    """ETAII [9] with L-bit windows — identical parameters to ACA-II."""
-    return gear_as_aca2(n, sub_adder_len, allow_partial=allow_partial)
-
-
-def gear_covers_gda(n: int, mb: int, mc: int) -> GeArConfig:
-    """The GeAr configuration matching GDA(M_B, M_C) with uniform prediction.
-
-    The architectures differ in window alignment but share sub-adder result
-    width (R = M_B) and prediction depth (P = M_C), hence the same error
-    model (§4.4) and the same accuracy.
-    """
-    strict = (n - mb - mc) % mb == 0
-    return GeArConfig(n, mb, mc, allow_partial=not strict)
 
 
 def classify_config(config: GeArConfig) -> List[str]:

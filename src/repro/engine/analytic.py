@@ -102,7 +102,6 @@ __all__ = [
     "adder_error_pmf",
     "analytic_layout",
     "bit_probability_profile",
-    "error_pmf",
 ]
 
 #: Version of the analytic formulation; folded into cache keys so stored
@@ -393,7 +392,7 @@ def _cached_segment_matrix(n_states: int, cap: int, alpha: float, g: int,
 
     The matrix depends only on ``(cap, alpha, g)``, not on the layout, so
     sweeps over many same-width configurations share entries — helped
-    along by :func:`error_pmf` rounding ``cap`` up to a power of two.
+    along by :func:`_compile_plan` rounding ``cap`` up to a power of two.
     Callers must treat the returned array as read-only.
     """
     return _segment_matrix(n_states, cap, alpha, g, with_generate)
@@ -413,47 +412,6 @@ def _normalize_profile(
         bad = next(a for a in profile if not 0.0 <= a <= 1.0)
         raise ValueError(f"bit probability {bad} outside [0, 1]")
     return profile
-
-
-def error_pmf(
-    width: int,
-    windows: Sequence[object],
-    truncation: int = 0,
-    bit_one: Optional[Sequence[float]] = None,
-    max_support: int = MAX_SUPPORT,
-    static_kind: Optional[str] = None,
-    rectified: Sequence[int] = (),
-) -> ErrorPMF:
-    """Exact signed error PMF of a window layout.
-
-    Args:
-        width: operand width N.
-        windows: window layout (``WindowSpec`` objects, or anything
-            exposing low/high/result_low/result_high/length/
-            prediction_bits).
-        truncation: fixed-approximation low bits (LOA-style), 0 for none.
-        bit_one: per-bit probability that an operand bit is one (the
-            same profile applies to both operands, bits independent).
-            ``None`` means uniform (0.5 everywhere).
-        max_support: raise :class:`AnalyticUnsupported` if the tracked
-            error support would exceed this many values.
-        static_kind: gate rule of the fixed low part — ``"or"`` (LOA,
-            the default when ``truncation`` is set) or ``"hoeraa"``.
-        rectified: indices into ``windows`` whose §3.3 flags a rectify
-            stage adds back into the sum (incompatible with truncation,
-            mirroring the IR's validation).
-    """
-    profile = _normalize_profile(width, bit_one)
-    rect = tuple(int(i) for i in rectified)
-    if truncation == 0:
-        static_kind = None
-    elif static_kind is None:
-        static_kind = "or"
-    if rect and truncation:
-        raise ValueError("rectified windows require a truncation-free layout")
-    plan = _compile_plan(width, tuple(windows), truncation, profile,
-                         max_support, static_kind, rect)
-    return _execute_plan(width, plan)
 
 
 def _compile_plan(

@@ -81,60 +81,3 @@ def estimate_luts(netlist: Netlist, k: int = 6, absorb_carry: bool = True) -> in
                 del roots[net]
                 changed = True
     return len(roots)
-
-
-def estimate_luts_fast(netlist: Netlist, k: int = 6, absorb_carry: bool = True) -> int:
-    """Single-pass variant of :func:`estimate_luts` (no fixed-point loop).
-
-    Merges in reverse topological order, folding each single-fanout gate
-    into its consumer once.  Slightly less aggressive than the fixed-point
-    version but O(gates × k) and adequate for large sweeps.
-    """
-    if k < 2:
-        raise ValueError(f"LUT input count must be >= 2, got {k}")
-
-    fanout = netlist.fanout_counts()
-    for net in netlist.output_nets():
-        fanout[net] += 1
-
-    consumers: Dict[str, str] = {}
-    for gate in netlist.gates.values():
-        for src in gate.inputs:
-            consumers[src] = gate.output  # only meaningful when fanout == 1
-
-    support: Dict[str, Set[str]] = {}
-    merged_away: Set[str] = set()
-    order = netlist.topological_order()
-    for gate in order:
-        if gate.is_source:
-            continue
-        if absorb_carry and gate.group == "carry":
-            merged_away.add(gate.output)
-            continue
-        sup: Set[str] = set()
-        for src in gate.inputs:
-            if src in support and src in merged_away:
-                sup |= support[src]
-            else:
-                sup.add(src)
-        support[gate.output] = sup
-
-    luts = 0
-    for gate in reversed(order):
-        net = gate.output
-        if gate.is_source or net in merged_away or net not in support:
-            continue
-        consumer = consumers.get(net)
-        if (
-            fanout.get(net, 0) == 1
-            and consumer is not None
-            and consumer in support
-            and consumer not in merged_away
-        ):
-            merged = (support[consumer] - {net}) | support[net]
-            if len(merged) <= k:
-                support[consumer] = merged
-                merged_away.add(net)
-                continue
-        luts += 1
-    return luts

@@ -1,11 +1,14 @@
-"""Netlist constructors for every adder architecture in the paper.
+"""Netlist construction for every adder architecture in the paper.
 
-Each builder returns a :class:`~repro.rtl.netlist.Netlist` with input buses
-``A`` and ``B`` (width N) and an output bus ``S`` of width N+1 (the MSB is
-the carry out, except for architectures that cannot produce one).  The GeAr
-builder additionally exposes an ``ERR`` bus with one error-detection flag
-per speculative sub-adder (§3.3: an AND of the predicted carry and the
-previous sub-adder's carry out).
+:func:`build_spec` compiles any :class:`~repro.spec.ir.AdderSpec` — every
+windowed family and exact baseline — into a :class:`~repro.rtl.netlist.Netlist`
+with input buses ``A`` and ``B`` (width N) and an output bus ``S`` of width
+N+1 (the MSB is the carry out, except for architectures that cannot produce
+one); specs with error detection additionally expose an ``ERR`` bus with one
+flag per speculative sub-adder (§3.3: an AND of the predicted carry and the
+previous sub-adder's carry out).  The three netlists the IR cannot express
+(carry-select, carry-skip and the §3.3 correction datapath) have their own
+builders, and :data:`NAMED_BUILDERS` addresses all of them by name.
 
 Wide AND/OR reductions are decomposed into bounded-fan-in trees so both the
 LUT-area estimate and the STA see realistic structures.
@@ -13,10 +16,22 @@ LUT-area estimate and the STA see realistic structures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import inspect
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
+from repro.spec.catalog import (
+    SPEC_CATALOG,
+    aca1_spec,
+    aca2_spec,
+    etaii_spec,
+    exact_spec,
+    gda_spec,
+    gear_spec,
+    loa_spec,
+)
+from repro.spec.ir import AdderSpec
 from repro.utils.validation import check_pos_int
 
 #: Maximum fan-in used when decomposing reductions into gate trees.  Four
@@ -90,28 +105,6 @@ def _ripple_chain(
             else:
                 carry = None
     return sums, carry
-
-
-def build_rca(width: int, name: str = "rca") -> Netlist:
-    """N-bit ripple-carry adder; output ``S`` is N+1 bits."""
-    check_pos_int("width", width)
-    from repro.spec.catalog import exact_spec
-
-    return build_spec(exact_spec(width, "rca", name=name))
-
-
-def build_cla(width: int, name: str = "cla") -> Netlist:
-    """N-bit single-level carry-lookahead adder; output ``S`` is N+1 bits.
-
-    Carries are computed by the flat lookahead expansion
-    ``c_{i+1} = g_i | p_i g_{i-1} | ... | p_i..p_0 c_0`` with bounded-fan-in
-    trees, so the structure (wide product terms) matches what makes GDA's
-    prediction slow on an FPGA.
-    """
-    check_pos_int("width", width)
-    from repro.spec.catalog import exact_spec
-
-    return build_spec(exact_spec(width, "cla", name=name))
 
 
 def _lookahead_carries(
@@ -213,18 +206,6 @@ def _prefix_window(
     for i in range(drop_sums, width):
         sums.append(base[i] if i == 0 else nl.xor(base[i], gen[i - 1]))
     return sums, gen[width - 1] if emit_cout else None
-
-
-def build_kogge_stone(width: int, name: str = "ksa") -> Netlist:
-    """N-bit Kogge-Stone parallel-prefix adder; output ``S`` is N+1 bits.
-
-    See :func:`_prefix_window` for the structure (and why it loses to the
-    carry chain on FPGAs).
-    """
-    check_pos_int("width", width)
-    from repro.spec.catalog import exact_spec
-
-    return build_spec(exact_spec(width, "ksa", name=name))
 
 
 def build_carry_select(width: int, block: int = 4, name: str = "csla") -> Netlist:
@@ -342,7 +323,7 @@ def _window_sum(netlist: Netlist, a_nets: Sequence[str], b_nets: Sequence[str],
     )
 
 
-def build_spec(spec: "AdderSpec") -> Netlist:  # noqa: F821
+def build_spec(spec: AdderSpec) -> Netlist:
     """Compile an :class:`~repro.spec.ir.AdderSpec` into a netlist.
 
     This is *the* generic windowed-adder compiler: every speculative family
@@ -464,79 +445,6 @@ def build_spec(spec: "AdderSpec") -> Netlist:  # noqa: F821
     return nl
 
 
-def build_gear(
-    n: int,
-    r: int,
-    p: int,
-    name: str = "gear",
-    with_error_detect: bool = True,
-    allow_partial: bool = False,
-    sub_adder: str = "rca",
-) -> Netlist:
-    """GeAr(N, R, P) netlist per §3.1 (Fig. 2) — compiled from its spec.
-
-    The first sub-adder is an L-bit chain contributing L result bits;
-    every subsequent sub-adder is an L-bit chain whose top R sum bits
-    contribute to the result and whose low P bits only predict the carry.
-    When ``with_error_detect`` is set, output bus ``ERR`` carries one flag
-    per speculative sub-adder: ``cp_i AND co_{i-1}`` (§3.3), where ``cp_i``
-    is the AND of the P propagate bits (Eq. 4) and ``co_{i-1}`` the previous
-    sub-adder's true carry out.
-    """
-    from repro.spec.catalog import gear_spec
-
-    return build_spec(gear_spec(n, r, p, allow_partial=allow_partial,
-                                arch=sub_adder, error_detect=with_error_detect,
-                                name=name))
-
-
-def build_etaii(n: int, sub_adder_len: int, name: str = "etaii") -> Netlist:
-    """ETAII [9] in its native structure: sum units + carry generators.
-
-    Functionally equal to GeAr(N, L/2, L/2) (the §3.1 coverage relation),
-    but built the way Zhu et al. describe: the word splits into
-    non-overlapping L/2-bit *sum units*, each fed a carry by a separate
-    *carry generator* rippling over the L/2 bits below it.  The sum unit
-    and the carry generator over the same bits are distinct hardware —
-    that duplication is why Table I reports ETAII at 28 LUTs against
-    ACA-II's 24 for the same function.
-    """
-    from repro.spec.catalog import etaii_spec
-
-    return build_spec(etaii_spec(n, sub_adder_len, name=name))
-
-
-def build_aca1(n: int, sub_adder_len: int, name: str = "aca1") -> Netlist:
-    """ACA-I [8]: overlapping sub-adders with one resultant bit each —
-    GeAr(N, 1, L−1)."""
-    from repro.spec.catalog import aca1_spec
-
-    return build_spec(aca1_spec(n, sub_adder_len, name=name))
-
-
-def build_aca2(n: int, sub_adder_len: int, name: str = "aca2") -> Netlist:
-    """ACA-II [10]: overlapping sub-adders with L/2 resultant bits —
-    GeAr(N, L/2, L/2) structurally (unlike ETAII's sum-unit/carry-generator
-    split, ACA-II's windows *are* the shared hardware)."""
-    from repro.spec.catalog import aca2_spec
-
-    return build_spec(aca2_spec(n, sub_adder_len, name=name))
-
-
-def build_gda(n: int, mb: int, mc: int, name: str = "gda") -> Netlist:
-    """GDA [13] in its uniform-prediction configuration.
-
-    The operands are split into N/M_B non-overlapping blocks added by ripple
-    sub-adders.  The carry into each block is predicted by a *carry
-    look-ahead* unit over the M_C bits below the block boundary (this CLA is
-    what makes GDA slower: §4.2).  Output ``S`` is N+1 bits (the top block's
-    carry out is speculative, like the paper's).
-    """
-    from repro.spec.catalog import gda_spec
-
-    return build_spec(gda_spec(n, mb, mc, enforce_multiple=False, name=name))
-
-
 def build_gear_corrected(
     n: int,
     r: int,
@@ -618,63 +526,53 @@ def build_gear_corrected(
     return nl
 
 
-def build_loa(n: int, approx_bits: int, name: str = "loa") -> Netlist:
-    """Lower-part OR Adder [12]: OR gates for the low bits, exact RCA above.
+def _compiled(factory: Callable[..., AdderSpec],
+              **fixed: object) -> Callable[..., Netlist]:
+    """Name-table entry: ``factory(*params, **fixed)`` compiled by
+    :func:`build_spec`.
 
-    The carry into the exact part is ``a & b`` of the top approximate bit.
+    ``params`` must be exactly the factory's required parameters, so a
+    stray CLI integer cannot reach one of its keyword defaults.
     """
-    from repro.spec.catalog import loa_spec
+    signature = inspect.signature(factory)
+    required = [name for name, param in signature.parameters.items()
+                if param.default is param.empty]
 
-    return build_spec(loa_spec(n, approx_bits, name=name))
+    def build(*params: int) -> Netlist:
+        if len(params) != len(required):
+            raise TypeError(f"expected {len(required)} parameter(s) "
+                            f"({', '.join(required)}), got {len(params)}")
+        return build_spec(factory(*params, **fixed))
 
-
-def _build_gear_cla(n: int, r: int, p: int) -> Netlist:
-    """GeAr with carry-lookahead sub-adders (§4.4: model is style-agnostic)."""
-    return build_gear(n, r, p, name="gear_cla", sub_adder="cla")
-
-
-def _catalog_builder(key: str):
-    """A ``(width) -> Netlist`` builder for one spec-catalog family."""
-
-    def build(width: int) -> Netlist:
-        from repro.spec.catalog import catalog_spec
-
-        return build_spec(catalog_spec(key, width))
-
-    build.__name__ = f"build_{key}"
-    build.__doc__ = f"Spec-catalog family {key!r} compiled at the given width."
     return build
 
 
-def _catalog_builders() -> Dict[str, "Callable[..., Netlist]"]:  # noqa: F821
-    from repro.spec.catalog import SPEC_CATALOG
-
-    return {key: _catalog_builder(key) for key in SPEC_CATALOG}
-
-
-#: Builders addressable by name from the CLI (``gear lint <name> <params>``)
-#: and the lint builder matrix.  Values take positional integer parameters.
-#: Parameterised family builders come first; every spec-catalog family that
-#: is not already covered is added as a width-only builder, so this mapping
-#: and :data:`repro.verify.registry` enumerate the same catalog keys.
-NAMED_BUILDERS = {
-    "rca": build_rca,
-    "cla": build_cla,
-    "ksa": build_kogge_stone,
+#: Adders addressable by name from the CLI (``gear lint <name> <params>``)
+#: and the lint builder matrix; values take positional integer parameters.
+#: Parameterised families resolve through their :mod:`repro.spec.catalog`
+#: factory under its historical short module name (so ``gear lint`` output
+#: is stable); every other spec-catalog key is added as a width-only entry,
+#: so this mapping and :mod:`repro.verify.registry` enumerate the same
+#: catalog.  ``csla``, ``cska`` and ``gear_corrected`` are the netlists
+#: the IR cannot express.
+NAMED_BUILDERS: Dict[str, Callable[..., Netlist]] = {
+    "rca": _compiled(exact_spec, arch="rca", name="rca"),
+    "cla": _compiled(exact_spec, arch="cla", name="cla"),
+    "ksa": _compiled(exact_spec, arch="ksa", name="ksa"),
     "csla": build_carry_select,
     "cska": build_carry_skip,
-    "gear": build_gear,
-    "gear_cla": _build_gear_cla,
+    "gear": _compiled(gear_spec, name="gear"),
+    "gear_cla": _compiled(gear_spec, arch="cla", name="gear_cla"),
     "gear_corrected": build_gear_corrected,
-    "aca1": build_aca1,
-    "aca2": build_aca2,
-    "etaii": build_etaii,
-    "gda": build_gda,
-    "loa": build_loa,
+    "aca1": _compiled(aca1_spec, name="aca1"),
+    "aca2": _compiled(aca2_spec, name="aca2"),
+    "etaii": _compiled(etaii_spec, name="etaii"),
+    "gda": _compiled(gda_spec, enforce_multiple=False, name="gda"),
+    "loa": _compiled(loa_spec, name="loa"),
 }
-for _key, _builder in _catalog_builders().items():
-    NAMED_BUILDERS.setdefault(_key, _builder)
-del _key, _builder
+for _key, _family in SPEC_CATALOG.items():
+    NAMED_BUILDERS.setdefault(_key, _compiled(_family))
+del _key, _family
 
 
 def build_named(name: str, *params: int) -> Netlist:

@@ -21,11 +21,11 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.gear import GeArConfig
-from repro.rtl.builders import build_rca
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
 from repro.rtl.verilog import to_verilog
 from repro.rtl.verilog_parser import VerilogSyntaxError, parse_verilog
+from repro.spec.catalog import exact_spec
 
 _INSTANCE_RE = re.compile(
     r"^\s*(?P<module>[A-Za-z_]\w*)\s+(?P<inst>[A-Za-z_]\w*)\s*\("
@@ -55,7 +55,7 @@ def emit_gear_hierarchical(config: GeArConfig, name: Optional[str] = None) -> st
     sub_sources: List[str] = []
     sub_names: Dict[int, str] = {}
     for length in lengths:
-        sub = build_rca(length, name=f"{top_name}_sub{length}")
+        sub = exact_spec(length, name=f"{top_name}_sub{length}").to_netlist()
         sub_names[length] = sub.name
         sub_sources.append(to_verilog(sub))
 

@@ -2,8 +2,10 @@
 
 Each ``*_spec`` function maps a family's historical parameters onto the
 declarative IR — the §3.1 coverage relations turned into code exactly
-once.  :data:`SPEC_CATALOG` is the single enumeration the netlist builder
-registry (:data:`repro.rtl.builders.NAMED_BUILDERS`), the conformance
+once, and the only way to build their netlists (``spec.to_netlist()``).
+:data:`SPEC_CATALOG` is the single enumeration the CLI name table
+(:data:`repro.rtl.builders.NAMED_BUILDERS`, which also fixes these
+factories to each family's historical parameter list), the conformance
 registry (:mod:`repro.verify.registry`) and the CLI all derive their
 family lists from, so the layers can no longer drift apart.
 

@@ -107,6 +107,37 @@ def _first_mismatch(expected: np.ndarray, got: np.ndarray) -> Optional[int]:
     return int(bad[0]) if bad.size else None
 
 
+def _shrink(model: AdderModel, build: Optional[AdderFactory], a: int, b: int,
+            min_width: int, detail: str, predicate: Callable,
+            bus: Optional[str] = None, netlist: bool = True) -> Counterexample:
+    """Greedily shrink a failing pair across the family's widths.
+
+    Each width resolves one candidate: ``model`` at its own width,
+    ``build(width)`` otherwise, and none without a factory.  With
+    ``netlist`` set, a candidate without a gate-level netlist (or without
+    output ``bus``, when one is named) is skipped too.  ``predicate``
+    receives the candidate and its netlist (None when ``netlist`` is off)
+    and returns the ``fails(a, b)`` test at that width.
+    """
+    def fails_at(width: int):
+        if width == model.width:
+            candidate = model
+        elif build is None:
+            return None
+        else:
+            candidate = build(width)
+        if not netlist:
+            return predicate(candidate, None)
+        built = candidate.build_netlist()
+        if built is None or (bus is not None
+                             and bus not in built.output_buses):
+            return None
+        return predicate(candidate, built)
+
+    return shrink_counterexample(a, b, model.width, fails_at,
+                                 min_width=min_width, detail=detail)
+
+
 def check_behavioural(model: AdderModel, vectors: VectorSet,
                       build: Optional[AdderFactory] = None,
                       min_width: int = 1) -> LayerResult:
@@ -133,7 +164,8 @@ def check_behavioural(model: AdderModel, vectors: VectorSet,
                            vectors=vectors.count)
 
     a0, b0 = int(vectors.a[index]), int(vectors.b[index])
-    cex = _shrink_behavioural(model, build, a0, b0, bus, min_width)
+    cex = _shrink(model, build, a0, b0, min_width, f"netlist bus {bus}",
+                  lambda m, nl: _behavioural_predicate(m, nl, bus), bus=bus)
     return LayerResult(
         "behavioural", LayerStatus.FAIL,
         exhaustive=vectors.exhaustive, vectors=vectors.count,
@@ -156,26 +188,6 @@ def _behavioural_predicate(model: AdderModel,
         return int(expected) != got
 
     return fails
-
-
-def _shrink_behavioural(model: AdderModel, build: Optional[AdderFactory],
-                        a: int, b: int, bus: str,
-                        min_width: int) -> Counterexample:
-    def fails_at(width: int):
-        if width == model.width:
-            candidate = model
-        elif build is None:
-            return None
-        else:
-            candidate = build(width)
-        netlist = candidate.build_netlist()
-        if netlist is None or bus not in netlist.output_buses:
-            return None
-        return _behavioural_predicate(candidate, netlist, bus)
-
-    return shrink_counterexample(a, b, model.width, fails_at,
-                                 min_width=min_width,
-                                 detail=f"netlist bus {bus}")
 
 
 def check_compiled(model: AdderModel, vectors: VectorSet,
@@ -213,7 +225,9 @@ def check_compiled(model: AdderModel, vectors: VectorSet,
         )
 
     a0, b0 = int(vectors.a[index]), int(vectors.b[index])
-    cex = _shrink_compiled(model, build, a0, b0, bad_bus, min_width)
+    cex = _shrink(model, build, a0, b0, min_width,
+                  f"compiled kernel bus {bad_bus}",
+                  lambda m, nl: _compiled_predicate(nl, bad_bus), bus=bad_bus)
     return LayerResult(
         "compiled", LayerStatus.FAIL,
         exhaustive=vectors.exhaustive, vectors=vectors.count,
@@ -235,26 +249,6 @@ def _compiled_predicate(netlist: Netlist, bus: str):
     return fails
 
 
-def _shrink_compiled(model: AdderModel, build: Optional[AdderFactory],
-                     a: int, b: int, bus: str,
-                     min_width: int) -> Counterexample:
-    def fails_at(width: int):
-        if width == model.width:
-            candidate = model
-        elif build is None:
-            return None
-        else:
-            candidate = build(width)
-        netlist = candidate.build_netlist()
-        if netlist is None or bus not in netlist.output_buses:
-            return None
-        return _compiled_predicate(netlist, bus)
-
-    return shrink_counterexample(a, b, model.width, fails_at,
-                                 min_width=min_width,
-                                 detail=f"compiled kernel bus {bus}")
-
-
 def check_verilog(model: AdderModel, build: Optional[AdderFactory] = None,
                   min_width: int = 1, max_exhaustive: int = 22,
                   random_vectors: int = 50_000,
@@ -274,8 +268,10 @@ def check_verilog(model: AdderModel, build: Optional[AdderFactory] = None,
                            vectors=report.vectors_checked)
 
     raw = report.counterexample or {}
-    cex = _shrink_verilog(model, build, int(raw.get("A", 0)),
-                          int(raw.get("B", 0)), min_width)
+    cex = _shrink(model, build, int(raw.get("A", 0)), int(raw.get("B", 0)),
+                  min_width, "verilog round-trip",
+                  lambda m, nl: _roundtrip_predicate(
+                      nl, parse_verilog(to_verilog(nl))))
     return LayerResult(
         "verilog", LayerStatus.FAIL,
         exhaustive=report.exhaustive, vectors=report.vectors_checked,
@@ -298,24 +294,6 @@ def _roundtrip_predicate(netlist: Netlist, parsed: Netlist):
         )
 
     return fails
-
-
-def _shrink_verilog(model: AdderModel, build: Optional[AdderFactory],
-                    a: int, b: int, min_width: int) -> Counterexample:
-    def fails_at(width: int):
-        if width == model.width:
-            candidate = model
-        elif build is None:
-            return None
-        else:
-            candidate = build(width)
-        netlist = candidate.build_netlist()
-        if netlist is None:
-            return None
-        return _roundtrip_predicate(netlist, parse_verilog(to_verilog(netlist)))
-
-    return shrink_counterexample(a, b, model.width, fails_at,
-                                 min_width=min_width, detail="verilog round-trip")
 
 
 def check_stats(model: AdderModel, engine=None,
@@ -564,7 +542,8 @@ def check_vector(model: AdderModel, vectors: VectorSet,
                            details={"vectorised_over": vectors.count})
 
     a0, b0 = a_list[mismatch], b_list[mismatch]
-    cex = _shrink_vector(model, build, a0, b0, what, min_width)
+    cex = _shrink(model, build, a0, b0, min_width, f"scalar vs vector {what}",
+                  lambda m, nl: _vector_predicate(m, what), netlist=False)
     return LayerResult(
         "vector", LayerStatus.FAIL, exhaustive=exhaustive, vectors=probed,
         message=f"scalar and vectorised {what} paths disagree",
@@ -588,20 +567,3 @@ def _vector_predicate(model: AdderModel, what: str):
         return int(model.add(a, b)) != int(model.add(aa, bb)[0])
 
     return fails
-
-
-def _shrink_vector(model: AdderModel, build: Optional[AdderFactory],
-                   a: int, b: int, what: str,
-                   min_width: int) -> Counterexample:
-    def fails_at(width: int):
-        if width == model.width:
-            candidate = model
-        elif build is None:
-            return None
-        else:
-            candidate = build(width)
-        return _vector_predicate(candidate, what)
-
-    return shrink_counterexample(a, b, model.width, fails_at,
-                                 min_width=min_width,
-                                 detail=f"scalar vs vector {what}")

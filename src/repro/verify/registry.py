@@ -8,8 +8,9 @@ widths to find the narrowest member that still exhibits the divergence.
 
 Spec-expressible families are not listed here by hand: the registry
 enumerates :data:`repro.spec.catalog.SPEC_CATALOG` — the same enumeration
-the netlist builder registry derives its named builders from — and builds
-each family's behavioural model with ``spec.to_model()``.  Only adders
+the CLI name table (:data:`repro.rtl.builders.NAMED_BUILDERS`) resolves its
+width-only names through — and builds each family's behavioural model
+with ``spec.to_model()``.  Only adders
 the IR cannot express (mux-based carry-select/skip, ETAI's bit-dropping
 low half) are registered as bespoke classes.  That makes naming drift
 between ``build_named`` and this registry structurally impossible.

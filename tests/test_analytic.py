@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import AnalyticUnsupported, ErrorPMF, adder_error_pmf
-from repro.engine.analytic import bit_probability_profile, error_pmf
+from repro.engine.analytic import bit_probability_profile
 from repro.metrics.exhaustive import exhaustive_stats
 from repro.spec.catalog import (
     SPEC_CATALOG,
@@ -180,10 +180,8 @@ def test_spec_model_overriding_add_impl_is_unsupported():
 
 
 def test_support_cap_raises_cleanly():
-    spec = catalog_spec("hetero", 10)
     with pytest.raises(AnalyticUnsupported):
-        error_pmf(spec.width, spec.windows, truncation=spec.truncation,
-                  max_support=2)
+        adder_error_pmf(catalog_spec("hetero", 10).to_model(), max_support=2)
 
 
 def test_bit_probability_profile_rules():

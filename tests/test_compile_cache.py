@@ -12,7 +12,6 @@ import pytest
 
 from repro import obs
 from repro.engine import Engine, EvalRequest
-from repro.rtl.builders import build_gear
 from repro.rtl.compile import (
     COMPILE_VERSION,
     CompiledAdder,
@@ -139,7 +138,7 @@ class TestTopoMemoisation:
         # The interpreter and the compiler both lean on the memoised
         # topological derivation: repeated simulation of one netlist
         # must run Kahn's algorithm exactly once.
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         with obs.collecting() as col:
             for _ in range(5):
                 simulate(netlist, {"A": 3, "B": 9})
@@ -148,7 +147,7 @@ class TestTopoMemoisation:
         assert col.snapshot().counters["rtl.netlist.topo_computed"] == 1
 
     def test_mutation_resets_memo(self):
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         with obs.collecting() as col:
             netlist.topological_order()
             netlist.and_(netlist.const(1), netlist.const(0))

@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.rtl.builders import build_gear, build_rca
 from repro.rtl.compile import compile_netlist, pack_operands
 from repro.rtl.faults import (
     MAX_INPUT_BITS, Fault, enumerate_faults, fault_simulation, inject_fault)
 from repro.rtl.sim import simulate_bus
-from repro.spec import SPEC_CATALOG, catalog_spec, gear_spec
+from repro.spec import SPEC_CATALOG, catalog_spec, exact_spec, gear_spec
 
 SIMULATORS = ("interpreted", "compiled")
 
@@ -41,7 +40,7 @@ class TestCampaignParity:
     def test_gear_n8_every_fault_agrees(self):
         # The full fault universe of GeAr(8, 2, 2): each fault must be
         # killed by both simulators or masked by both.
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         interp = fault_simulation(netlist, vectors=256, seed=2,
                                   simulator="interpreted")
         comp = fault_simulation(netlist, vectors=256, seed=2,
@@ -53,7 +52,7 @@ class TestCampaignParity:
         assert comp.detected_any_output
 
     def test_rca_full_coverage_parity(self):
-        netlist = build_rca(6)
+        netlist = exact_spec(6).to_netlist()
         interp = fault_simulation(netlist, vectors=128, seed=5,
                                   simulator="interpreted")
         comp = fault_simulation(netlist, vectors=128, seed=5,
@@ -64,7 +63,7 @@ class TestCampaignParity:
     def test_partial_word_vector_count(self):
         # 60 vectors leave 4 padding lanes in the packed word; a forced
         # net can flip outputs there, which must not count as detection.
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         interp = fault_simulation(netlist, vectors=60, seed=9,
                                   simulator="interpreted")
         comp = fault_simulation(netlist, vectors=60, seed=9,
@@ -78,12 +77,12 @@ class TestCampaignParity:
         rng = np.random.default_rng(7)
         assert rng.integers(0, 16, size=1, dtype=np.int64)[0] == 15
         faults = [Fault("A[0]", 1), Fault("A[0]", 0)]
-        report = fault_simulation(build_rca(4), vectors=1, seed=7,
+        report = fault_simulation(exact_spec(4).to_netlist(), vectors=1, seed=7,
                                   faults=faults, simulator=simulator)
         assert report.undetected == [Fault("A[0]", 1)]
 
     def test_fault_subset_parity(self):
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         subset = enumerate_faults(netlist)[::7]
         interp = fault_simulation(netlist, vectors=200, seed=3, faults=subset,
                                   simulator="interpreted")
@@ -93,7 +92,7 @@ class TestCampaignParity:
 
     def test_unknown_simulator_rejected(self):
         with pytest.raises(ValueError, match="simulator"):
-            fault_simulation(build_rca(2), vectors=8, simulator="hdl")
+            fault_simulation(exact_spec(2).to_netlist(), vectors=8, simulator="hdl")
 
     @pytest.mark.parametrize("family", sorted(SPEC_CATALOG))
     def test_every_catalog_family_agrees(self, family):
@@ -122,7 +121,7 @@ class TestCampaignParity:
 
 class TestFaultLists:
     def _both(self, faults):
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         interp = fault_simulation(netlist, vectors=96, seed=6, faults=faults,
                                   simulator="interpreted")
         comp = fault_simulation(netlist, vectors=96, seed=6, faults=faults,
@@ -131,20 +130,20 @@ class TestFaultLists:
         return comp
 
     def test_duplicates(self):
-        faults = enumerate_faults(build_gear(8, 2, 2))[::5]
+        faults = enumerate_faults(gear_spec(8, 2, 2).to_netlist())[::5]
         report = self._both(faults + faults[::-1] + faults[:3])
         assert report.total == 2 * len(faults) + 3
 
     def test_sa0_and_sa1_on_one_net(self):
         # Adjacent rows force the same slot to opposite constants.
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         nets = list(dict.fromkeys(
             f.net for f in enumerate_faults(netlist, include_inputs=False)))
         faults = [Fault(net, v) for net in nets[::3] for v in (1, 0)]
         self._both(faults)
 
     def test_input_net_faults(self):
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         inputs = [net for bus in netlist.input_buses
                   for net in netlist.input_nets(bus)]
         report = self._both([Fault(net, v) for net in inputs
@@ -158,7 +157,7 @@ class TestFaultLists:
 
     @pytest.mark.parametrize("simulator", SIMULATORS)
     def test_unknown_net_rejected(self, simulator):
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         faults = enumerate_faults(netlist)[:4] + [Fault("ghost", 1)]
         with pytest.raises(KeyError, match="ghost"):
             fault_simulation(netlist, vectors=32, faults=faults,
@@ -199,10 +198,11 @@ class TestInputWidthLimit:
     @pytest.mark.parametrize("simulator", SIMULATORS)
     def test_64_bit_bus_rejected(self, simulator):
         with pytest.raises(ValueError, match=f"{MAX_INPUT_BITS} bits"):
-            fault_simulation(build_rca(64), vectors=8, simulator=simulator)
+            fault_simulation(exact_spec(64).to_netlist(), vectors=8,
+                             simulator=simulator)
 
     def test_63_bit_bus_simulates(self):
-        netlist = build_rca(63)
+        netlist = exact_spec(63).to_netlist()
         subset = enumerate_faults(netlist)[::40]
         interp = fault_simulation(netlist, vectors=8, faults=subset,
                                   simulator="interpreted")
@@ -217,7 +217,7 @@ class TestCampaignTelemetry:
         # The default simulator is the compiled one: one golden replay
         # plus one per batch, and word_ops still charge every gate once
         # per (fault row, lane word).
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         faults = enumerate_faults(netlist)
         vectors = 20_000
         nwords = -(-vectors // 64)
@@ -237,7 +237,7 @@ class TestForcedKernelSemantics:
     def test_force_bit_equal_to_inject_fault(self):
         # Forcing a net in the compiled kernel must reproduce the
         # rewritten netlist bit for bit on every output bus.
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         kernel = compile_netlist(netlist)
         rng = np.random.default_rng(4)
         stimulus = {
@@ -254,12 +254,12 @@ class TestForcedKernelSemantics:
                     err_msg=f"fault {fault} diverges on bus {bus}")
 
     def test_force_unknown_net_rejected(self):
-        kernel = compile_netlist(build_rca(4))
+        kernel = compile_netlist(exact_spec(4).to_netlist())
         with pytest.raises(KeyError):
             kernel.run({"A": 1, "B": 2}, force={"ghost": 1})
 
     def test_force_value_validated(self):
-        netlist = build_rca(4)
+        netlist = exact_spec(4).to_netlist()
         kernel = compile_netlist(netlist)
         net = enumerate_faults(netlist)[0].net
         with pytest.raises(ValueError):
@@ -269,7 +269,7 @@ class TestForcedKernelSemantics:
         # Row r of one batched replay equals run_packed with row r's
         # forcing, including multi-net rows, unforced rows and a net
         # forced in several rows.
-        netlist = build_gear(8, 2, 2)
+        netlist = gear_spec(8, 2, 2).to_netlist()
         kernel = compile_netlist(netlist)
         rng = np.random.default_rng(8)
         packed = {
@@ -290,10 +290,10 @@ class TestForcedKernelSemantics:
                                               single[bus])
 
     def test_batch_validates_like_single_forcing(self):
-        kernel = compile_netlist(build_rca(4))
+        kernel = compile_netlist(exact_spec(4).to_netlist())
         packed = {"A": pack_operands(np.arange(4), 4),
                   "B": pack_operands(np.arange(4), 4)}
-        net = enumerate_faults(build_rca(4))[0].net
+        net = enumerate_faults(exact_spec(4).to_netlist())[0].net
         with pytest.raises(KeyError):
             kernel.run_packed_batch(packed, [{net: 1}, {"ghost": 0}])
         with pytest.raises(ValueError):
@@ -301,7 +301,7 @@ class TestForcedKernelSemantics:
 
     def test_forcing_leaves_kernel_reusable(self):
         # A forced run must not contaminate subsequent clean runs.
-        netlist = build_rca(4)
+        netlist = exact_spec(4).to_netlist()
         kernel = compile_netlist(netlist)
         fault = enumerate_faults(netlist, include_inputs=True)[0]
         clean_before = kernel.run({"A": 5, "B": 9})["S"].copy()

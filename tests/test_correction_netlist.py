@@ -8,6 +8,7 @@ from repro.core.gear import GeArAdder, GeArConfig
 from repro.rtl.builders import build_gear_corrected
 from repro.rtl.correction_harness import MultiCycleCorrector
 from repro.rtl.sim import simulate_bus
+from repro.spec.catalog import gear_spec
 from tests.conftest import random_pairs
 
 
@@ -80,10 +81,8 @@ class TestMultiCycleHarness:
         np.testing.assert_array_equal(hres.value, cres.value)
 
     def test_harness_validates_buses(self):
-        from repro.rtl.builders import build_gear
-
         with pytest.raises(ValueError):
-            MultiCycleCorrector(build_gear(8, 2, 2))
+            MultiCycleCorrector(gear_spec(8, 2, 2).to_netlist())
 
     def test_harness_validates_mask(self):
         nl = build_gear_corrected(8, 2, 2)

@@ -7,54 +7,49 @@ from repro.adders import (
     AccuracyConfigurableAdder,
     AlmostCorrectAdder,
     ErrorTolerantAdderII,
+    GracefullyDegradingAdder,
 )
-from repro.core.coverage import (
-    classify_config,
-    gear_as_aca1,
-    gear_as_aca2,
-    gear_as_etaii,
-    gear_covers_gda,
-)
+from repro.core.coverage import classify_config
 from repro.core.gear import GeArAdder, GeArConfig
 from tests.conftest import random_pairs
 
 
 class TestCoverageMappings:
     def test_aca1_mapping_parameters(self):
-        cfg = gear_as_aca1(16, 4)
+        cfg = AlmostCorrectAdder(16, 4).config
         assert (cfg.r, cfg.p, cfg.L) == (1, 3, 4)
 
     def test_aca1_functional_equivalence(self):
-        cfg = gear_as_aca1(16, 4)
-        gear = GeArAdder(cfg)
         aca = AlmostCorrectAdder(16, 4)
+        gear = GeArAdder(aca.config)
         a, b = random_pairs(16, 3000, seed=1)
         np.testing.assert_array_equal(gear.add(a, b), aca.add(a, b))
 
     def test_aca2_mapping(self):
-        cfg = gear_as_aca2(16, 8)
+        aca2 = AccuracyConfigurableAdder(16, 8)
+        cfg = aca2.config
         assert (cfg.r, cfg.p) == (4, 4)
         gear = GeArAdder(cfg)
-        aca2 = AccuracyConfigurableAdder(16, 8)
         a, b = random_pairs(16, 3000, seed=2)
         np.testing.assert_array_equal(gear.add(a, b), aca2.add(a, b))
 
     def test_etaii_mapping(self):
-        cfg = gear_as_etaii(16, 8)
-        gear = GeArAdder(cfg)
         etaii = ErrorTolerantAdderII(16, 8)
+        cfg = etaii.config
+        assert (cfg.r, cfg.p) == (4, 4)
+        gear = GeArAdder(cfg)
         a, b = random_pairs(16, 3000, seed=3)
         np.testing.assert_array_equal(gear.add(a, b), etaii.add(a, b))
 
     def test_gda_parameter_mapping(self):
-        cfg = gear_covers_gda(16, 4, 8)
+        cfg = GracefullyDegradingAdder(16, 4, 8).config
         assert (cfg.r, cfg.p) == (4, 8)
 
     def test_invalid_aca_params(self):
         with pytest.raises(ValueError):
-            gear_as_aca1(16, 1)
+            AlmostCorrectAdder(16, 1)
         with pytest.raises(ValueError):
-            gear_as_aca2(16, 7)
+            AccuracyConfigurableAdder(16, 7)
 
 
 class TestClassification:

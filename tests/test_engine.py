@@ -109,7 +109,10 @@ class TestDeterminism:
         engine = Engine(jobs=1)
         a = engine.evaluate(EvalRequest(adder=adder, samples=4096, seed=None))
         b = engine.evaluate(EvalRequest(adder=adder, samples=4096, seed=None))
-        assert a.stats.error_rate != b.stats.error_rate
+        # Two fresh 4096-sample draws can tie on a single rate; the whole
+        # statistics record (MED, max ED, MAA rates, ...) ties only by
+        # negligible chance.
+        assert a.stats != b.stats
 
 
 class TestModesAgainstReferences:

@@ -2,44 +2,41 @@
 
 import pytest
 
-from repro.rtl.builders import (
-    build_cla,
-    build_gear,
-    build_kogge_stone,
-    build_rca,
-)
 from repro.rtl.equivalence import check_equivalence
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
 from repro.rtl.opt import optimize
 from repro.rtl.verilog import to_verilog
 from repro.rtl.verilog_parser import parse_verilog
+from repro.spec.catalog import exact_spec, gear_spec
 
 
 class TestExhaustiveRegime:
     def test_rca_equals_cla_proof(self):
-        report = check_equivalence(build_rca(8), build_cla(8))
+        report = check_equivalence(exact_spec(8).to_netlist(),
+                                   exact_spec(8, "cla").to_netlist())
         assert report.equivalent
         assert report.exhaustive
         assert report.vectors_checked == 1 << 16
 
     def test_rca_equals_kogge_stone(self):
-        report = check_equivalence(build_rca(10), build_kogge_stone(10))
+        report = check_equivalence(exact_spec(10).to_netlist(),
+                                   exact_spec(10, "ksa").to_netlist())
         assert report.equivalent and report.exhaustive
 
     def test_gear_roundtrip_proof(self):
-        nl = build_gear(10, 2, 4)
+        nl = gear_spec(10, 2, 4).to_netlist()
         parsed = parse_verilog(to_verilog(nl))
         report = check_equivalence(nl, parsed)
         assert report.equivalent and report.exhaustive
 
     def test_optimize_preserves_function(self):
-        nl = build_gear(9, 1, 3, allow_partial=True)
+        nl = gear_spec(9, 1, 3, allow_partial=True).to_netlist()
         report = check_equivalence(nl, optimize(nl))
         assert report.equivalent
 
     def test_detects_mismatch_with_counterexample(self):
-        good = build_rca(6)
+        good = exact_spec(6).to_netlist()
         bad = Netlist("bad")
         a = bad.add_input_bus("A", 6)
         b = bad.add_input_bus("B", 6)
@@ -61,14 +58,15 @@ class TestExhaustiveRegime:
 
 class TestRandomRegime:
     def test_wide_adders_random_pass(self):
-        report = check_equivalence(build_rca(16), build_cla(16),
+        report = check_equivalence(exact_spec(16).to_netlist(),
+                                   exact_spec(16, "cla").to_netlist(),
                                    random_vectors=5000)
         assert report.equivalent
         assert not report.exhaustive
         assert report.vectors_checked >= 5000
 
     def test_wide_mismatch_found(self):
-        good = build_rca(16)
+        good = exact_spec(16).to_netlist()
         bad = Netlist("bad16")
         a = bad.add_input_bus("A", 16)
         b = bad.add_input_bus("B", 16)
@@ -83,7 +81,7 @@ class TestRandomRegime:
     def test_corner_catches_stuck_lsb(self):
         # A bug visible only at all-zero inputs is caught by the corner set
         # even before random vectors.
-        good = build_rca(16)
+        good = exact_spec(16).to_netlist()
         bad = Netlist("stuck")
         a = bad.add_input_bus("A", 16)
         b = bad.add_input_bus("B", 16)
@@ -99,7 +97,8 @@ class TestRandomRegime:
 class TestInterfaceValidation:
     def test_different_inputs_rejected(self):
         with pytest.raises(ValueError):
-            check_equivalence(build_rca(8), build_rca(9))
+            check_equivalence(exact_spec(8).to_netlist(),
+                              exact_spec(9).to_netlist())
 
     def test_no_shared_outputs_rejected(self):
         nl = Netlist("odd")
@@ -107,12 +106,12 @@ class TestInterfaceValidation:
         b = nl.add_input_bus("B", 2)
         nl.set_output_bus("Q", [nl.and_(a[0], b[0])])
         with pytest.raises(ValueError):
-            check_equivalence(build_rca(2), nl)
+            check_equivalence(exact_spec(2).to_netlist(), nl)
 
     def test_only_shared_buses_compared(self):
         # GeAr has an extra ERR bus; comparing against plain RCA-sum-only
         # netlist uses bus S only... here: gear vs gear-without-ERR.
-        with_err = build_gear(8, 2, 2, with_error_detect=True)
-        without = build_gear(8, 2, 2, with_error_detect=False)
+        with_err = gear_spec(8, 2, 2, error_detect=True).to_netlist()
+        without = gear_spec(8, 2, 2, error_detect=False).to_netlist()
         report = check_equivalence(with_err, without)
         assert report.equivalent

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.gear import GeArAdder, GeArConfig
-from repro.rtl.builders import build_gear
 from repro.rtl.equivalence import check_equivalence
 from repro.rtl.hierarchy import elaborate_hierarchical, emit_gear_hierarchical
 from repro.rtl.sim import simulate_bus
 from repro.rtl.verilog_parser import VerilogSyntaxError
+from repro.spec.catalog import gear_spec
 from tests.conftest import random_pairs
 
 
@@ -53,7 +53,7 @@ class TestElaboration:
 
     def test_equivalent_to_flat_netlist_exhaustively(self):
         cfg = GeArConfig(10, 2, 4)
-        flat = build_gear(10, 2, 4)
+        flat = gear_spec(10, 2, 4).to_netlist()
         hier = elaborate_hierarchical(emit_gear_hierarchical(cfg))
         report = check_equivalence(hier, flat)
         assert report.equivalent and report.exhaustive
@@ -71,7 +71,7 @@ class TestElaboration:
     def test_err_bus_matches_flat(self):
         cfg = GeArConfig(12, 2, 6)
         hier = elaborate_hierarchical(emit_gear_hierarchical(cfg))
-        flat = build_gear(12, 2, 6)
+        flat = gear_spec(12, 2, 6).to_netlist()
         a, b = random_pairs(12, 3000, seed=4)
         np.testing.assert_array_equal(
             simulate_bus(hier, {"A": a, "B": b}, "ERR"),
@@ -96,6 +96,6 @@ class TestElaboration:
         hier = characterize_netlist(
             elaborate_hierarchical(emit_gear_hierarchical(cfg)), name="hier"
         )
-        flat = characterize_netlist(build_gear(16, 4, 4), name="flat")
+        flat = characterize_netlist(gear_spec(16, 4, 4).to_netlist(), name="flat")
         assert hier.delay_ns == pytest.approx(flat.delay_ns, abs=0.1)
         assert abs(hier.luts - flat.luts) <= 4

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.rtl.builders import build_cla, build_rca
 from repro.rtl.gates import Gate, Op
 from repro.rtl.lint import (
     Diagnostic,
@@ -26,6 +25,7 @@ from repro.rtl.lint import (
 from repro.rtl.netlist import Netlist
 from repro.rtl.opt import optimize, strash, sweep
 from repro.rtl.verilog import to_verilog
+from repro.spec.catalog import exact_spec
 
 
 def rule_ids(report: LintReport) -> set:
@@ -33,7 +33,7 @@ def rule_ids(report: LintReport) -> set:
 
 
 def adder(width: int = 4) -> Netlist:
-    return build_rca(width)
+    return exact_spec(width).to_netlist()
 
 
 # --------------------------------------------------------------------- #
@@ -281,7 +281,8 @@ class TestDuplicateGate:
         assert not lint_netlist(nl).by_rule("duplicate-gate")
 
     def test_strash_removes_findings(self):
-        nl = build_cla(8)  # CLA has genuine pre-strash sharing candidates
+        # CLA has genuine pre-strash sharing candidates.
+        nl = exact_spec(8, "cla").to_netlist()
         assert lint_netlist(nl).by_rule("duplicate-gate")
         assert not lint_netlist(strash(nl)).by_rule("duplicate-gate")
 
@@ -413,7 +414,7 @@ class TestBuilderMatrix:
 
 class TestLintVerilog:
     def test_round_trip_is_clean(self):
-        report = lint_verilog(to_verilog(optimize(build_rca(8))))
+        report = lint_verilog(to_verilog(optimize(exact_spec(8).to_netlist())))
         assert report.ok(fail_on=Severity.INFO)
 
     def test_parsed_defect_has_source_location(self):

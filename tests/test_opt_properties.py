@@ -70,3 +70,14 @@ def test_optimized_output_stays_error_free(netlist):
 def test_build_named_rejects_unknown():
     with pytest.raises(ValueError, match="unknown builder"):
         build_named("carry-save", 8)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("gear", (12, 4)),
+    ("gear", (12, 4, 4, 1)),   # would otherwise set allow_partial
+    ("gda", (16, 4, 4, 0)),
+    ("hetero", (16, 2)),
+])
+def test_build_named_rejects_wrong_parameter_count(name, params):
+    with pytest.raises(TypeError, match="parameter"):
+        build_named(name, *params)

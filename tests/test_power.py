@@ -6,13 +6,13 @@ import pytest
 from repro.adders import CarryLookaheadAdder, RippleCarryAdder
 from repro.adders.etai import ErrorTolerantAdderI
 from repro.core.gear import GeArAdder, GeArConfig
-from repro.rtl.builders import build_rca
 from repro.rtl.power import characterize_power, switching_activity
+from repro.spec.catalog import exact_spec
 
 
 class TestSwitchingActivity:
     def test_constant_stimulus_zero_toggles(self):
-        nl = build_rca(8)
+        nl = exact_spec(8).to_netlist()
         stim = {"A": np.full(10, 5, dtype=np.int64),
                 "B": np.full(10, 9, dtype=np.int64)}
         report = switching_activity(nl, stim)
@@ -20,7 +20,7 @@ class TestSwitchingActivity:
         assert report.energy_score == 0.0
 
     def test_alternating_inputs_toggle_inputs(self):
-        nl = build_rca(4)
+        nl = exact_spec(4).to_netlist()
         stim = {"A": np.array([0b0000, 0b1111] * 8, dtype=np.int64),
                 "B": np.zeros(16, dtype=np.int64)}
         report = switching_activity(nl, stim)
@@ -30,18 +30,18 @@ class TestSwitchingActivity:
         assert report.total_toggles > 0
 
     def test_needs_two_vectors(self):
-        nl = build_rca(4)
+        nl = exact_spec(4).to_netlist()
         with pytest.raises(ValueError):
             switching_activity(nl, {"A": np.array([1]), "B": np.array([1])})
 
     def test_mismatched_lengths_rejected(self):
-        nl = build_rca(4)
+        nl = exact_spec(4).to_netlist()
         with pytest.raises(ValueError):
             switching_activity(nl, {"A": np.array([1, 2]),
                                     "B": np.array([1, 2, 3])})
 
     def test_energy_scales_with_activity(self):
-        nl = build_rca(8)
+        nl = exact_spec(8).to_netlist()
         rng = np.random.default_rng(0)
         hot = {"A": rng.integers(0, 256, 500, dtype=np.int64),
                "B": rng.integers(0, 256, 500, dtype=np.int64)}

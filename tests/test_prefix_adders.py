@@ -6,11 +6,11 @@ import pytest
 
 from repro.adders import CarrySelectAdder, CarrySkipAdder, KoggeStoneAdder, RippleCarryAdder
 from repro.core.gear import GeArAdder, GeArConfig
-from repro.rtl.builders import build_gear
 from repro.rtl.sim import simulate_bus
 from repro.rtl.sta import UnitDelayModel, critical_path_delay
 from repro.rtl.verilog import to_verilog
 from repro.rtl.verilog_parser import parse_verilog
+from repro.spec.catalog import gear_spec
 from repro.timing.fpga import characterize
 from tests.conftest import random_pairs
 
@@ -84,7 +84,7 @@ class TestGearSubAdderStyles:
     @pytest.mark.parametrize("style", ["rca", "cla"])
     def test_style_is_functionally_identical(self, style):
         adder = GeArAdder(GeArConfig(16, 4, 4))
-        nl = build_gear(16, 4, 4, sub_adder=style)
+        nl = gear_spec(16, 4, 4, arch=style).to_netlist()
         a, b = random_pairs(16, 600, seed=2)
         np.testing.assert_array_equal(
             simulate_bus(nl, {"A": a, "B": b}, "S"),
@@ -93,11 +93,11 @@ class TestGearSubAdderStyles:
 
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
-            build_gear(16, 4, 4, sub_adder="magic")
+            gear_spec(16, 4, 4, arch="magic").to_netlist()
 
     def test_cla_subadder_shallower_but_fpga_slower(self):
-        rca_nl = build_gear(16, 4, 4, sub_adder="rca")
-        cla_nl = build_gear(16, 4, 4, sub_adder="cla")
+        rca_nl = gear_spec(16, 4, 4, arch="rca").to_netlist()
+        cla_nl = gear_spec(16, 4, 4, arch="cla").to_netlist()
         unit = UnitDelayModel()
         assert critical_path_delay(cla_nl, unit, buses=["S"]) < \
             critical_path_delay(rca_nl, unit, buses=["S"])

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.rtl.area import estimate_luts, estimate_luts_fast
-from repro.rtl.builders import build_gear, build_rca
+from repro.rtl.area import estimate_luts
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
 from repro.rtl.opt import optimize, strash, sweep
 from repro.rtl.sim import simulate_bus
+from repro.spec.catalog import aca1_spec, exact_spec, gear_spec
 
 
 class TestEstimateLuts:
@@ -40,29 +40,22 @@ class TestEstimateLuts:
         assert estimate_luts(nl, k=6) >= 2
 
     def test_k4_needs_more_than_k6(self):
-        nl = build_gear(12, 4, 4)
+        nl = gear_spec(12, 4, 4).to_netlist()
         assert estimate_luts(nl, k=4) >= estimate_luts(nl, k=6)
 
     def test_carry_absorption(self):
-        nl = build_rca(8)
+        nl = exact_spec(8).to_netlist()
         absorbed = estimate_luts(nl, absorb_carry=True)
         explicit = estimate_luts(nl, absorb_carry=False)
         assert absorbed < explicit
 
     def test_rca_one_lut_per_bit(self):
         # Matches the paper's Table I: 16-bit RCA = 16 LUTs.
-        assert estimate_luts(optimize(build_rca(16))) == 16
+        assert estimate_luts(optimize(exact_spec(16).to_netlist())) == 16
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            estimate_luts(build_rca(4), k=1)
-
-    def test_fast_variant_close_to_fixed_point(self):
-        for nl in (build_rca(8), build_gear(12, 4, 4)):
-            slow = estimate_luts(nl)
-            fast = estimate_luts_fast(nl)
-            assert fast >= slow  # fast merge is never more aggressive
-            assert fast <= 3 * max(slow, 1)
+            estimate_luts(exact_spec(4).to_netlist(), k=1)
 
 
 class TestStrash:
@@ -78,7 +71,7 @@ class TestStrash:
         assert ops.count(Op.XOR) == 1
 
     def test_behaviour_preserved(self):
-        nl = build_gear(10, 2, 4)
+        nl = gear_spec(10, 2, 4).to_netlist()
         hashed = strash(nl)
         rng = np.random.default_rng(0)
         a = rng.integers(0, 1 << 10, size=200, dtype=np.int64)
@@ -89,15 +82,13 @@ class TestStrash:
         )
 
     def test_aca1_shares_overlapping_terms(self):
-        from repro.rtl.builders import build_aca1
-
-        nl = build_aca1(16, 4)
+        nl = aca1_spec(16, 4).to_netlist()
         before = len(nl.logic_gates())
         after = len(strash(nl).logic_gates())
         assert after < before  # overlapping windows recompute p/g terms
 
     def test_group_tags_survive(self):
-        nl = build_rca(4)
+        nl = exact_spec(4).to_netlist()
         hashed = strash(nl)
         assert any(g.group == "carry" for g in hashed.logic_gates())
 
@@ -113,7 +104,7 @@ class TestSweep:
         assert len(swept.logic_gates()) == 1
 
     def test_optimize_preserves_behaviour(self):
-        nl = build_gear(12, 4, 4)
+        nl = gear_spec(12, 4, 4).to_netlist()
         opt = optimize(nl)
         rng = np.random.default_rng(1)
         a = rng.integers(0, 1 << 12, size=300, dtype=np.int64)
@@ -128,5 +119,6 @@ class TestSweep:
         )
 
     def test_optimize_never_grows(self):
-        for nl in (build_rca(8), build_gear(16, 4, 4)):
+        for spec in (exact_spec(8), gear_spec(16, 4, 4)):
+            nl = spec.to_netlist()
             assert len(optimize(nl).logic_gates()) <= len(nl.logic_gates())

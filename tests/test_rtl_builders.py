@@ -11,17 +11,16 @@ from repro.adders import (
     LowerPartOrAdder,
 )
 from repro.core.gear import GeArAdder, GeArConfig
-from repro.rtl.builders import (
-    build_aca1,
-    build_aca2,
-    build_cla,
-    build_etaii,
-    build_gda,
-    build_gear,
-    build_loa,
-    build_rca,
-)
 from repro.rtl.sim import simulate_bus
+from repro.spec.catalog import (
+    aca1_spec,
+    aca2_spec,
+    etaii_spec,
+    exact_spec,
+    gda_spec,
+    gear_spec,
+    loa_spec,
+)
 from tests.conftest import random_pairs
 
 
@@ -35,7 +34,7 @@ def _assert_matches(netlist, adder, count=400, seed=11):
 class TestExactBuilders:
     @pytest.mark.parametrize("width", [1, 2, 5, 8, 16, 24])
     def test_rca_exact(self, width):
-        nl = build_rca(width)
+        nl = exact_spec(width).to_netlist()
         a, b = random_pairs(width, 300, seed=width)
         np.testing.assert_array_equal(
             simulate_bus(nl, {"A": a, "B": b}, "S"), a + b
@@ -43,14 +42,14 @@ class TestExactBuilders:
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 12])
     def test_cla_exact(self, width):
-        nl = build_cla(width)
+        nl = exact_spec(width, "cla").to_netlist()
         a, b = random_pairs(width, 300, seed=width)
         np.testing.assert_array_equal(
             simulate_bus(nl, {"A": a, "B": b}, "S"), a + b
         )
 
     def test_rca_exhaustive_small(self):
-        nl = build_rca(4)
+        nl = exact_spec(4).to_netlist()
         vals = np.arange(16, dtype=np.int64)
         a = np.repeat(vals, 16)
         b = np.tile(vals, 16)
@@ -59,7 +58,7 @@ class TestExactBuilders:
         )
 
     def test_output_width_is_n_plus_1(self):
-        assert len(build_rca(7).output_buses["S"]) == 8
+        assert len(exact_spec(7).to_netlist().output_buses["S"]) == 8
 
 
 class TestGearBuilder:
@@ -67,21 +66,21 @@ class TestGearBuilder:
                                        (16, 4, 4), (16, 2, 6), (20, 5, 5)])
     def test_matches_behavioural(self, n, r, p):
         adder = GeArAdder(GeArConfig(n, r, p))
-        _assert_matches(build_gear(n, r, p), adder)
+        _assert_matches(gear_spec(n, r, p).to_netlist(), adder)
 
     @pytest.mark.parametrize("n,r,p", [(16, 4, 2), (16, 4, 6), (20, 3, 7)])
     def test_partial_mode_matches(self, n, r, p):
         adder = GeArAdder(GeArConfig(n, r, p, allow_partial=True))
-        _assert_matches(build_gear(n, r, p, allow_partial=True), adder)
+        _assert_matches(gear_spec(n, r, p, allow_partial=True).to_netlist(), adder)
 
     def test_error_detect_bus_present(self):
-        nl = build_gear(12, 4, 4)
+        nl = gear_spec(12, 4, 4).to_netlist()
         assert "ERR" in nl.output_buses
         assert len(nl.output_buses["ERR"]) == 1  # k-1 flags
 
     def test_error_detect_matches_behaviour(self):
         adder = GeArAdder(GeArConfig(12, 2, 6))
-        nl = build_gear(12, 2, 6)
+        nl = gear_spec(12, 2, 6).to_netlist()
         a, b = random_pairs(12, 500, seed=5)
         err_bus = simulate_bus(nl, {"A": a, "B": b}, "ERR")
         flags = adder.detection_flags(a, b)
@@ -91,27 +90,27 @@ class TestGearBuilder:
         np.testing.assert_array_equal(err_bus, want)
 
     def test_no_error_detect_option(self):
-        nl = build_gear(12, 4, 4, with_error_detect=False)
+        nl = gear_spec(12, 4, 4, error_detect=False).to_netlist()
         assert "ERR" not in nl.output_buses
 
     def test_strict_mode_rejects_nondivisible(self):
         with pytest.raises(ValueError):
-            build_gear(16, 4, 6)
+            gear_spec(16, 4, 6).to_netlist()
 
 
 class TestCoverageBuilders:
     def test_aca1_matches(self):
-        _assert_matches(build_aca1(16, 4), AlmostCorrectAdder(16, 4))
+        _assert_matches(aca1_spec(16, 4).to_netlist(), AlmostCorrectAdder(16, 4))
 
     def test_aca2_matches(self):
-        _assert_matches(build_aca2(16, 8), AccuracyConfigurableAdder(16, 8))
+        _assert_matches(aca2_spec(16, 8).to_netlist(), AccuracyConfigurableAdder(16, 8))
 
     def test_etaii_matches(self):
-        _assert_matches(build_etaii(16, 8), ErrorTolerantAdderII(16, 8))
+        _assert_matches(etaii_spec(16, 8).to_netlist(), ErrorTolerantAdderII(16, 8))
 
     def test_etaii_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            build_etaii(16, 7)
+            etaii_spec(16, 7).to_netlist()
 
     def test_etaii_native_structure_costs_more_area(self):
         # Table I: ETAII 28 LUTs vs ACA-II 24 for the same function — the
@@ -119,14 +118,15 @@ class TestCoverageBuilders:
         # sum units.  Our model reproduces the ordering.
         from repro.timing.fpga import characterize_netlist
 
-        etaii = characterize_netlist(build_etaii(16, 8))
-        aca2 = characterize_netlist(build_aca2(16, 8))
+        etaii = characterize_netlist(etaii_spec(16, 8).to_netlist())
+        aca2 = characterize_netlist(aca2_spec(16, 8).to_netlist())
         assert etaii.luts > aca2.luts
 
     def test_etaii_and_aca2_functionally_identical(self):
         from repro.rtl.equivalence import check_equivalence
 
-        report = check_equivalence(build_etaii(16, 8), build_aca2(16, 8),
+        report = check_equivalence(etaii_spec(16, 8).to_netlist(),
+                                   aca2_spec(16, 8).to_netlist(),
                                    random_vectors=20_000)
         assert report.equivalent
 
@@ -136,23 +136,23 @@ class TestGdaBuilder:
                                          (16, 4, 4), (16, 4, 8)])
     def test_matches_behavioural(self, n, mb, mc):
         adder = GracefullyDegradingAdder(n, mb, mc, enforce_multiple=False)
-        _assert_matches(build_gda(n, mb, mc), adder)
+        _assert_matches(gda_spec(n, mb, mc, enforce_multiple=False).to_netlist(), adder)
 
     def test_indivisible_width_rejected(self):
         with pytest.raises(ValueError):
-            build_gda(10, 4, 4)
+            gda_spec(10, 4, 4, enforce_multiple=False).to_netlist()
 
     def test_excessive_prediction_rejected(self):
         with pytest.raises(ValueError):
-            build_gda(8, 4, 5)
+            gda_spec(8, 4, 5, enforce_multiple=False).to_netlist()
 
 
 class TestLoaBuilder:
     @pytest.mark.parametrize("approx", [0, 1, 3, 7])
     def test_matches_behavioural(self, approx):
         adder = LowerPartOrAdder(8, approx)
-        _assert_matches(build_loa(8, approx), adder)
+        _assert_matches(loa_spec(8, approx).to_netlist(), adder)
 
     def test_bad_approx_bits(self):
         with pytest.raises(ValueError):
-            build_loa(8, 8)
+            loa_spec(8, 8).to_netlist()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.rtl.builders import build_cla, build_gear, build_rca
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
 from repro.rtl.sta import (
@@ -13,6 +12,7 @@ from repro.rtl.sta import (
     critical_path_delay,
     depth_histogram,
 )
+from repro.spec.catalog import exact_spec, gear_spec
 
 
 def _chain(depth: int) -> Netlist:
@@ -65,14 +65,14 @@ class TestUnitDelay:
 
 class TestBusRestriction:
     def test_excluding_err_bus_shortens_path(self):
-        nl = build_gear(16, 4, 4, with_error_detect=True)
+        nl = gear_spec(16, 4, 4, error_detect=True).to_netlist()
         model = FpgaDelayModel()
         full = critical_path_delay(nl, model)
         sum_only = critical_path_delay(nl, model, buses=["S"])
         assert sum_only <= full
 
     def test_unknown_bus_rejected(self):
-        nl = build_rca(4)
+        nl = exact_spec(4).to_netlist()
         with pytest.raises(KeyError):
             critical_path_delay(nl, UnitDelayModel(), buses=["Q"])
 
@@ -96,7 +96,7 @@ class TestFpgaModel:
     def test_rca_delay_scales_with_width(self):
         model = FpgaDelayModel()
         delays = [
-            critical_path_delay(build_rca(w), model, buses=["S"])
+            critical_path_delay(exact_spec(w).to_netlist(), model, buses=["S"])
             for w in (4, 8, 16, 32)
         ]
         assert delays == sorted(delays)
@@ -104,22 +104,25 @@ class TestFpgaModel:
 
     def test_gear_beats_rca_of_same_width(self):
         model = FpgaDelayModel()
-        rca = critical_path_delay(build_rca(16), model, buses=["S"])
-        gear = critical_path_delay(build_gear(16, 4, 4), model, buses=["S"])
+        rca = critical_path_delay(exact_spec(16).to_netlist(), model, buses=["S"])
+        gear = critical_path_delay(gear_spec(16, 4, 4).to_netlist(), model, buses=["S"])
         assert gear < rca
 
     def test_gear_delay_tracks_sub_adder_length(self):
         # Table IV observation: delay depends on L, not N.
         model = FpgaDelayModel()
-        short = critical_path_delay(build_gear(16, 2, 2), model, buses=["S"])
-        long = critical_path_delay(build_gear(16, 4, 8), model, buses=["S"])
+        short = critical_path_delay(gear_spec(16, 2, 2).to_netlist(), model,
+                                    buses=["S"])
+        long = critical_path_delay(gear_spec(16, 4, 8).to_netlist(), model,
+                                   buses=["S"])
         assert short < long
 
     def test_cla_slower_than_rca_on_fpga(self):
         # §4.2: CLA maps to generic LUTs, RCA rides the carry chain.
         model = FpgaDelayModel()
-        rca = critical_path_delay(build_rca(16), model, buses=["S"])
-        cla = critical_path_delay(build_cla(16), model, buses=["S"])
+        rca = critical_path_delay(exact_spec(16).to_netlist(), model, buses=["S"])
+        cla = critical_path_delay(exact_spec(16, "cla").to_netlist(), model,
+                                  buses=["S"])
         assert cla > rca
 
     def test_negative_params_rejected(self):
@@ -129,5 +132,5 @@ class TestFpgaModel:
     def test_calibration_anchor_rca16(self):
         # The default model is calibrated near the paper's 1.365 ns.
         model = FpgaDelayModel()
-        delay = critical_path_delay(build_rca(16), model, buses=["S"])
+        delay = critical_path_delay(exact_spec(16).to_netlist(), model, buses=["S"])
         assert 1.0 < delay < 1.8

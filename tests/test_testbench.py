@@ -4,13 +4,14 @@ import re
 
 import pytest
 
-from repro.rtl.builders import build_gear, build_rca
 from repro.rtl.testbench import generate_testbench
+from repro.spec.catalog import exact_spec, gear_spec
 
 
 class TestGenerateTestbench:
     def test_structure(self):
-        tb = generate_testbench(build_rca(8), vectors=10)
+        tb = generate_testbench(exact_spec(8, name="rca").to_netlist(),
+                                vectors=10)
         assert tb.startswith("`timescale")
         assert "module rca_tb;" in tb
         assert "rca dut (.A(a), .B(b), .S(s_dut));" in tb
@@ -19,13 +20,13 @@ class TestGenerateTestbench:
         assert 'PASS' in tb and 'FAIL' in tb
 
     def test_vector_count(self):
-        tb = generate_testbench(build_rca(8), vectors=25)
+        tb = generate_testbench(exact_spec(8).to_netlist(), vectors=25)
         checks = re.findall(r"^\s*check\(", tb, flags=re.M)
         # corners × 3 b-patterns + 25 random
         assert len(checks) >= 25 + 8
 
     def test_expected_values_are_true_sums(self):
-        tb = generate_testbench(build_rca(4), vectors=5, seed=9)
+        tb = generate_testbench(exact_spec(4).to_netlist(), vectors=5, seed=9)
         for match in re.finditer(
             r"check\(4'h([0-9a-f]+), 4'h([0-9a-f]+), 5'h([0-9a-f]+)\);", tb
         ):
@@ -33,7 +34,7 @@ class TestGenerateTestbench:
             assert s == a + b
 
     def test_err_bus_included_for_gear(self):
-        tb = generate_testbench(build_gear(12, 4, 4), vectors=5)
+        tb = generate_testbench(gear_spec(12, 4, 4).to_netlist(), vectors=5)
         assert "err_dut" in tb
         assert ".ERR(err_dut)" in tb
 
@@ -53,7 +54,8 @@ class TestGenerateTestbench:
         assert found >= 10
 
     def test_custom_name(self):
-        tb = generate_testbench(build_rca(4), vectors=2, tb_name="mytb")
+        tb = generate_testbench(exact_spec(4).to_netlist(), vectors=2,
+                                tb_name="mytb")
         assert "module mytb;" in tb
 
     def test_requires_ab_buses(self):
@@ -64,4 +66,4 @@ class TestGenerateTestbench:
 
     def test_vector_count_validated(self):
         with pytest.raises((ValueError, TypeError)):
-            generate_testbench(build_rca(4), vectors=0)
+            generate_testbench(exact_spec(4).to_netlist(), vectors=0)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.rtl.builders import build_cla, build_gda, build_gear, build_loa, build_rca
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
 from repro.rtl.sim import simulate_bus
 from repro.rtl.sta import FpgaDelayModel, critical_path_delay
 from repro.rtl.verilog import to_verilog
 from repro.rtl.verilog_parser import VerilogSyntaxError, parse_verilog
+from repro.spec.catalog import exact_spec, gda_spec, gear_spec, loa_spec
 from tests.conftest import random_pairs
 
 
@@ -26,18 +26,18 @@ def _roundtrip_equivalent(netlist, width, buses=("S",), count=300, seed=9):
 
 class TestEmission:
     def test_module_structure(self):
-        src = to_verilog(build_rca(4))
+        src = to_verilog(exact_spec(4).to_netlist())
         assert src.startswith("module rca")
         assert "endmodule" in src
         assert "input  [3:0] A" in src
         assert "output [4:0] S" in src
 
     def test_contains_assigns(self):
-        src = to_verilog(build_rca(2))
+        src = to_verilog(exact_spec(2).to_netlist())
         assert src.count("assign") >= 4
 
     def test_group_tags_emitted(self):
-        src = to_verilog(build_rca(4))
+        src = to_verilog(exact_spec(4).to_netlist())
         assert "// group:carry" in src
 
     def test_mux_and_constants(self):
@@ -51,24 +51,24 @@ class TestEmission:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("builder,width", [
-        (lambda: build_rca(8), 8),
-        (lambda: build_cla(6), 6),
-        (lambda: build_gear(12, 4, 4), 12),
-        (lambda: build_gda(8, 2, 4), 8),
-        (lambda: build_loa(8, 3), 8),
+        (lambda: exact_spec(8).to_netlist(), 8),
+        (lambda: exact_spec(6, "cla").to_netlist(), 6),
+        (lambda: gear_spec(12, 4, 4).to_netlist(), 12),
+        (lambda: gda_spec(8, 2, 4, enforce_multiple=False).to_netlist(), 8),
+        (lambda: loa_spec(8, 3).to_netlist(), 8),
     ])
     def test_functional_equivalence(self, builder, width):
         _roundtrip_equivalent(builder(), width)
 
     def test_err_bus_roundtrips(self):
-        _roundtrip_equivalent(build_gear(12, 2, 6), 12, buses=("S", "ERR"))
+        _roundtrip_equivalent(gear_spec(12, 2, 6).to_netlist(), 12, buses=("S", "ERR"))
 
     def test_group_tags_roundtrip(self):
-        parsed = parse_verilog(to_verilog(build_rca(8)))
+        parsed = parse_verilog(to_verilog(exact_spec(8).to_netlist()))
         assert any(g.group == "carry" for g in parsed.logic_gates())
 
     def test_timing_preserved_by_roundtrip(self):
-        nl = build_gear(16, 4, 4)
+        nl = gear_spec(16, 4, 4).to_netlist()
         parsed = parse_verilog(to_verilog(nl))
         model = FpgaDelayModel()
         assert critical_path_delay(parsed, model, buses=["S"]) == pytest.approx(
@@ -76,7 +76,7 @@ class TestRoundTrip:
         )
 
     def test_double_roundtrip_stable(self):
-        src1 = to_verilog(build_gear(10, 2, 4))
+        src1 = to_verilog(gear_spec(10, 2, 4).to_netlist())
         src2 = to_verilog(parse_verilog(src1))
         assert parse_verilog(src2).stats() == parse_verilog(src1).stats()
 
@@ -191,7 +191,7 @@ class TestSourceLocations:
             parse_verilog("module t (@);")
 
     def test_every_net_gets_a_location(self):
-        nl = build_rca(4)
+        nl = exact_spec(4).to_netlist()
         parsed = parse_verilog(to_verilog(nl))
         assert set(parsed.source_locations) == set(parsed.gates)
 
