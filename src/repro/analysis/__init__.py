@@ -17,7 +17,7 @@ from repro.analysis.runtime import (
     Mode,
     build_mode_ladder,
 )
-from repro.analysis.export import EXPORTERS, export_all
+from repro.analysis.export import export_all
 from repro.analysis.report import generate_report, write_report
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ControllerTrace",
     "Mode",
     "build_mode_ladder",
-    "EXPORTERS",
     "export_all",
     "generate_report",
     "write_report",

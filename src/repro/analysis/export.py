@@ -1,15 +1,20 @@
-"""CSV/JSON export of every reproduced experiment.
+"""CSV/JSON export of every registered experiment.
 
-Plotting lives outside this library (no matplotlib dependency); these
-exporters write the exact series each paper figure plots, and each table's
-rows, as plain CSV so any tool can regenerate the visuals.  Since the
-engine redesign every experiment also implements the unified result
-protocol (``to_json()``), so ``export_all(..., fmt="json")`` — the CLI's
-``gear export --json`` — writes the same artefacts as deterministic JSON
-documents instead.
+Plotting lives outside this library (no matplotlib dependency); the
+exporter writes each :data:`~repro.experiments.EXPERIMENTS` entry's rows
+so any tool can regenerate the visuals.  Both formats come from the one
+result protocol:
 
-``export_all(directory)`` writes one file per artefact and returns the
-paths; the CLI exposes it as ``gear export --dir out/``.
+* **CSV** — a header row of ``result.headers``, then ``result.to_rows()``.
+  Scalars are written as :mod:`csv` writes them (floats at full ``repr``
+  precision), ``None`` as an empty cell, and a ``dict``/``list`` cell as
+  compact, key-sorted JSON text.
+* **JSON** — ``result.to_json()``, byte-identical to ``gear experiment
+  <name> --json``.  The protocol excludes timings and job counts, so a
+  re-export at any ``--jobs`` is byte-identical.
+
+``export_all(directory)`` writes ``<name>.csv`` (or ``<name>.json``) per
+experiment and returns the paths; the CLI exposes it as ``gear export``.
 """
 
 from __future__ import annotations
@@ -17,194 +22,56 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, TextIO, Union
 
 PathLike = Union[str, pathlib.Path]
 
 
-def _write_csv(path: pathlib.Path, headers: Sequence[str],
-               rows: Sequence[Sequence]) -> pathlib.Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        writer.writerows(rows)
-    return path
+def _csv_cell(value):
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return value
 
 
-def export_fig1(directory: PathLike) -> pathlib.Path:
-    from repro.experiments.fig1 import run_fig1
-
-    rows: List[List] = []
-    for panel in run_fig1():
-        for arch, points in panel.points_per_architecture.items():
-            for p in points:
-                rows.append([panel.r, arch, p])
-    return _write_csv(pathlib.Path(directory) / "fig1_design_space.csv",
-                      ["R", "architecture", "P"], rows)
+def _write_csv(result, handle: TextIO) -> None:
+    writer = csv.writer(handle)
+    writer.writerow(result.headers)
+    writer.writerows([_csv_cell(cell) for cell in row] for row in result.to_rows())
 
 
-def export_fig7(directory: PathLike) -> pathlib.Path:
-    from repro.experiments.fig7 import run_fig7
-
-    rows: List[List] = []
-    for r, points in run_fig7().items():
-        for pt in points:
-            rows.append([r, pt.p, f"{pt.accuracy_pct:.6f}",
-                         int(pt.gear), int(pt.gda)])
-    return _write_csv(pathlib.Path(directory) / "fig7_accuracy_vs_p.csv",
-                      ["R", "P", "accuracy_pct", "gear", "gda"], rows)
+def _write_json(result, handle: TextIO) -> None:
+    json.dump(result.to_json(), handle, indent=2, sort_keys=True)
+    handle.write("\n")
 
 
-def export_fig8(directory: PathLike) -> pathlib.Path:
-    from repro.experiments.fig8 import run_fig8
-
-    rows = [
-        [pt.r, pt.p, f"{pt.gear_delay_ned:.6e}", f"{pt.gda_delay_ned:.6e}"]
-        for pt in run_fig8()
-    ]
-    return _write_csv(pathlib.Path(directory) / "fig8_delay_ned.csv",
-                      ["R", "P", "gear_delay_ned", "gda_delay_ned"], rows)
-
-
-def export_fig9(directory: PathLike) -> pathlib.Path:
-    from repro.experiments.fig9 import run_fig9
-
-    rows: List[List] = []
-    for app, app_rows in run_fig9().items():
-        for row in app_rows:
-            rows.append([
-                app, row.adder, row.k, f"{row.delay_ns:.4f}",
-                f"{row.error_probability:.8f}",
-                f"{row.timing.approximate_s:.6e}",
-                f"{row.timing.best_s:.6e}",
-                f"{row.timing.average_s:.6e}",
-                f"{row.timing.worst_s:.6e}",
-            ])
-    return _write_csv(
-        pathlib.Path(directory) / "fig9_app_timing.csv",
-        ["application", "adder", "k", "delay_ns", "p_err",
-         "approx_s", "best_s", "average_s", "worst_s"],
-        rows,
-    )
-
-
-def export_table1(directory: PathLike) -> pathlib.Path:
-    from repro.experiments.table1 import run_table1
-
-    rows: List[List] = []
-    for row in run_table1():
-        rows.append([
-            row.name, f"{row.delay_ns:.4f}", row.luts,
-            f"{row.stats.maa(1.0):.4f}", f"{row.stats.maa(0.975):.4f}",
-            f"{row.stats.maa(0.95):.4f}", f"{row.stats.maa(0.925):.4f}",
-            f"{row.stats.maa(0.90):.4f}", f"{row.stats.acc_amp_avg:.6f}",
-            f"{row.stats.acc_inf_avg:.6f}", f"{row.stats.med:.4f}",
-            f"{row.app_ned:.6f}", f"{row.delay_ned_product:.6e}",
-        ])
-    return _write_csv(
-        pathlib.Path(directory) / "table1_image_integral.csv",
-        ["adder", "delay_ns", "luts", "maa100", "maa97_5", "maa95",
-         "maa92_5", "maa90", "acc_amp", "acc_inf", "med", "ned",
-         "delay_ned"],
-        rows,
-    )
-
-
-def export_table2(directory: PathLike) -> pathlib.Path:
-    from repro.experiments.table2 import run_table2
-
-    rows = [
-        [row.architecture, row.r, row.p, f"{row.delay_ns:.4f}", row.luts,
-         f"{row.med:.4f}", f"{row.ned_paper_convention:.6f}",
-         f"{row.delay_ned_product:.6e}"]
-        for row in run_table2()
-    ]
-    return _write_csv(
-        pathlib.Path(directory) / "table2_gda_vs_gear.csv",
-        ["architecture", "R", "P", "delay_ns", "luts", "med", "ned",
-         "delay_ned"],
-        rows,
-    )
-
-
-def export_table3(directory: PathLike) -> pathlib.Path:
-    from repro.experiments.table3 import run_table3
-
-    rows = [
-        [row.n, row.r, row.p, row.k, f"{row.analytic_pct:.6f}",
-         f"{row.exact_pct:.6f}", f"{row.simulated_pct:.6f}",
-         row.paper_analytic_pct, row.paper_simulated_pct]
-        for row in run_table3()
-    ]
-    return _write_csv(
-        pathlib.Path(directory) / "table3_error_probability.csv",
-        ["N", "R", "P", "k", "analytic_pct", "exact_pct", "simulated_pct",
-         "paper_analytic_pct", "paper_simulated_pct"],
-        rows,
-    )
-
-
-def export_table4(directory: PathLike) -> pathlib.Path:
-    from repro.experiments.table4 import run_table4
-
-    rows = [
-        [row.name, row.k, f"{row.delay_ns:.4f}", row.paper_delay_ns,
-         f"{row.error_probability:.8f}",
-         f"{row.timing.approximate_s:.6e}", f"{row.timing.best_s:.6e}",
-         f"{row.timing.average_s:.6e}", f"{row.timing.worst_s:.6e}"]
-        for row in run_table4()
-    ]
-    return _write_csv(
-        pathlib.Path(directory) / "table4_execution_time.csv",
-        ["adder", "k", "delay_ns", "paper_delay_ns", "p_err", "approx_s",
-         "best_s", "average_s", "worst_s"],
-        rows,
-    )
-
-
-#: All exporters by artefact id.
-EXPORTERS = {
-    "fig1": export_fig1,
-    "fig7": export_fig7,
-    "fig8": export_fig8,
-    "fig9": export_fig9,
-    "table1": export_table1,
-    "table2": export_table2,
-    "table3": export_table3,
-    "table4": export_table4,
-}
-
-
-def export_json(directory: PathLike, name: str, engine=None) -> pathlib.Path:
-    """Write one artefact's unified ``to_json()`` document.
-
-    JSON output is deterministic (the result protocol excludes timings and
-    job counts), so a re-export at any ``--jobs`` is byte-identical.
-    """
-    from repro.experiments import EXPERIMENTS
-
-    spec = EXPERIMENTS[name]
-    result = spec.run(engine=engine)
-    path = pathlib.Path(directory) / f"{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(result.to_json(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+_WRITERS = {"csv": _write_csv, "json": _write_json}
 
 
 def export_all(directory: PathLike,
                artefacts: Optional[Sequence[str]] = None,
                fmt: str = "csv",
-               engine=None) -> Dict[str, pathlib.Path]:
-    """Write the requested artefacts (default: all) as CSV or JSON."""
-    if fmt not in ("csv", "json"):
+               engine=None,
+               backend: Optional[str] = None) -> Dict[str, pathlib.Path]:
+    """Write the requested experiments (default: all) as CSV or JSON.
+
+    ``engine`` and ``backend`` reach each runner through
+    :meth:`~repro.experiments.ExperimentSpec.run`, exactly as ``gear
+    experiment`` passes them.
+    """
+    from repro.experiments import EXPERIMENTS
+
+    if fmt not in _WRITERS:
         raise ValueError(f"unknown export format: {fmt!r} (csv or json)")
-    names = list(artefacts) if artefacts is not None else list(EXPORTERS)
-    unknown = set(names) - set(EXPORTERS)
+    names = list(artefacts) if artefacts is not None else list(EXPERIMENTS)
+    unknown = set(names) - set(EXPERIMENTS)
     if unknown:
         raise ValueError(f"unknown artefacts: {sorted(unknown)}")
-    if fmt == "json":
-        return {name: export_json(directory, name, engine=engine) for name in names}
-    return {name: EXPORTERS[name](directory) for name in names}
+    out = pathlib.Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    paths: Dict[str, pathlib.Path] = {}
+    for name in names:
+        result = EXPERIMENTS[name].run(engine=engine, backend=backend)
+        paths[name] = out / f"{name}.{fmt}"
+        with open(paths[name], "w", newline="") as handle:
+            _WRITERS[fmt](result, handle)
+    return paths

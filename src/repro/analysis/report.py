@@ -20,6 +20,11 @@ PathLike = Union[str, pathlib.Path]
 CORE_SECTIONS = ("fig1", "fig7", "table3", "table4")
 #: Heavier artefacts included unless quick=True.
 FULL_SECTIONS = ("table2", "fig8", "table1", "fig9")
+#: Ablation studies (run unless quick=True) and their headings.
+ABLATION_SECTIONS = {
+    "ablation-distributions": "Ablation — operand-distribution sensitivity",
+    "ablation-correction": "Ablation — selective correction",
+}
 
 
 def _code_block(text: str) -> str:
@@ -35,7 +40,8 @@ def generate_report(quick: bool = False,
             and the ablations.
         include_ablations: override the ablation default (run unless quick).
     """
-    from repro import __version__, experiments
+    from repro import __version__
+    from repro.experiments import EXPERIMENTS
 
     run_ablations = (not quick) if include_ablations is None else include_ablations
     out = io.StringIO()
@@ -53,20 +59,14 @@ def generate_report(quick: bool = False,
     sections: List[str] = list(CORE_SECTIONS)
     if not quick:
         sections += list(FULL_SECTIONS)
-    for name in sections:
-        render = getattr(experiments, f"render_{name}")
-        title = name.replace("table", "Table ").replace("fig", "Figure ")
-        out.write(f"## {title}\n\n")
-        out.write(_code_block(render()))
-        out.write("\n")
-
     if run_ablations:
-        out.write("## Ablation — operand-distribution sensitivity\n\n")
-        out.write(_code_block(
-            experiments.render_distribution_sensitivity_ablation()
-        ))
-        out.write("\n## Ablation — selective correction\n\n")
-        out.write(_code_block(experiments.render_correction_policy_ablation()))
+        sections += list(ABLATION_SECTIONS)
+    for name in sections:
+        spec = EXPERIMENTS[name]
+        title = ABLATION_SECTIONS.get(name) or (
+            name.replace("table", "Table ").replace("fig", "Figure "))
+        out.write(f"## {title}\n\n")
+        out.write(_code_block(spec.renderer(spec.run())))
         out.write("\n")
 
     elapsed = time.time() - started

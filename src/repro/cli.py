@@ -143,9 +143,18 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _gear_config(args: argparse.Namespace) -> GeArConfig:
+    """The ``n r p`` positionals as a config; partial when R does not
+    divide N-R-P.  An invalid triple is a usage error."""
+    try:
+        strict = args.r > 0 and (args.n - args.r - args.p) % args.r == 0
+        return GeArConfig(args.n, args.r, args.p, allow_partial=not strict)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
-    strict = (args.n - args.r - args.p) % args.r == 0
-    cfg = GeArConfig(args.n, args.r, args.p, allow_partial=not strict)
+    cfg = _gear_config(args)
     adder = GeArAdder(cfg)
     print(cfg.describe())
     print(f"covers: {', '.join(classify_config(cfg))}")
@@ -211,8 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verilog(args: argparse.Namespace) -> int:
-    strict = (args.n - args.r - args.p) % args.r == 0
-    config = GeArConfig(args.n, args.r, args.p, allow_partial=not strict)
+    config = _gear_config(args)
     if args.hierarchical:
         from repro.rtl.hierarchy import emit_gear_hierarchical
 
@@ -296,7 +304,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     with use_engine(engine):
         paths = export_all(args.dir, artefacts=args.only,
                            fmt="json" if args.json else "csv",
-                           engine=engine)
+                           engine=engine, backend=args.backend)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
     return 0
@@ -306,9 +314,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     from repro.engine import use_engine
     from repro.metrics.spectrum import error_spectrum, spectrum_table
 
-    strict = (args.n - args.r - args.p) % args.r == 0
-    adder = GeArAdder(GeArConfig(args.n, args.r, args.p,
-                                 allow_partial=not strict))
+    adder = GeArAdder(_gear_config(args))
     with use_engine(_engine_from_args(args)):
         spec = error_spectrum(adder, samples=args.samples, seed=args.seed)
     print(spectrum_table(spec))
@@ -930,8 +936,10 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export",
                             help="write experiment CSVs/JSON for plotting")
     export.add_argument("--dir", default="export", help="output directory")
-    export.add_argument("--only", nargs="*", default=None,
-                        help="artefact ids (fig1 fig7 ... table4)")
+    export.add_argument("--only", nargs="+", default=None,
+                        choices=sorted(EXPERIMENTS), metavar="NAME",
+                        help="experiments to export (default: all): "
+                        + ", ".join(sorted(EXPERIMENTS)))
     export.add_argument("--json", action="store_true",
                         help="write unified to_json() documents instead of CSV")
     _add_engine_flags(export)

@@ -31,7 +31,24 @@ def _as_row_list(produced: RowOrRows) -> List[RowDict]:
     return list(produced)
 
 
-class ExperimentResult(list):
+class _ResultProtocol:
+    """``to_rows``/``to_json`` over a container's ``name``, ``headers``
+    and ``json_rows()``."""
+
+    def to_rows(self) -> List[tuple]:
+        """Flat cell tuples aligned with ``headers``."""
+        return [tuple(row.get(h) for h in self.headers) for row in self.json_rows()]
+
+    def to_json(self) -> dict:
+        """Deterministic JSON document for ``--json`` / ``gear export``."""
+        return {
+            "experiment": self.name,
+            "headers": self.headers,
+            "rows": self.json_rows(),
+        }
+
+
+class ExperimentResult(_ResultProtocol, list):
     """A list of experiment row objects implementing the result protocol.
 
     Subclasses ``list`` so the historical contract is intact: iteration,
@@ -58,20 +75,8 @@ class ExperimentResult(list):
             rows.extend(_as_row_list(self._row_fn(item)))
         return rows
 
-    def to_rows(self) -> List[tuple]:
-        """Flat cell tuples aligned with ``headers``."""
-        return [tuple(row.get(h) for h in self.headers) for row in self.json_rows()]
 
-    def to_json(self) -> dict:
-        """Deterministic JSON document for ``--json`` / ``gear export``."""
-        return {
-            "experiment": self.name,
-            "headers": self.headers,
-            "rows": self.json_rows(),
-        }
-
-
-class GroupedExperimentResult(dict):
+class GroupedExperimentResult(_ResultProtocol, dict):
     """A mapping of panel key → row list implementing the result protocol.
 
     Subclasses ``dict`` so multi-panel figures (Fig. 7's per-R panels,
@@ -106,13 +111,3 @@ class GroupedExperimentResult(dict):
                         row = {self._group_header: key, **row}
                     rows.append(row)
         return rows
-
-    def to_rows(self) -> List[tuple]:
-        return [tuple(row.get(h) for h in self.headers) for row in self.json_rows()]
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": self.name,
-            "headers": self.headers,
-            "rows": self.json_rows(),
-        }

@@ -89,7 +89,34 @@ class TestCommands:
                      "fig1", "table3"]) == 0
         out = capsys.readouterr().out
         assert "fig1" in out and "table3" in out
-        assert (tmp_path / "fig1_design_space.csv").exists()
+        assert (tmp_path / "fig1.csv").exists()
+
+    def test_export_unknown_name_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--dir", str(tmp_path), "--only", "fig42"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fig42'" in capsys.readouterr().err
+        assert not tmp_path.joinpath("fig42.csv").exists()
+
+    def test_export_only_without_names_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--dir", str(tmp_path), "--only"])
+        assert exc.value.code == 2
+        assert "expected at least one argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "12", "0", "4"],
+        ["info", "4", "4", "4"],
+        ["verilog", "4", "4", "4"],
+        ["spectrum", "4", "4", "4"],
+    ])
+    def test_invalid_gear_triple_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_spectrum_command(self, capsys):
         assert main(["spectrum", "12", "4", "4", "--samples", "20000"]) == 0
