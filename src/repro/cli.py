@@ -117,11 +117,25 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                        "to stderr after the command")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a non-positive value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, "
+                                         f"got {value}")
+    return value
+
+
 def _add_sampling_flags(parser: argparse.ArgumentParser,
                         samples_default: Optional[int] = None,
                         seed_default: Optional[int] = DEFAULT_SEED,
                         samples_help: str = "Monte-Carlo sample count") -> None:
-    parser.add_argument("--samples", type=int, default=samples_default,
+    parser.add_argument("--samples", type=_positive_int,
+                        default=samples_default,
                         help=samples_help)
     seed_note = (f"default: {seed_default}" if seed_default is not None
                  else "default: experiment-specific")
@@ -181,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     engine = _engine_from_args(args)
     results = sweep_gear_configs(
         args.n,
-        r_values=[args.r] if args.r else None,
+        r_values=[args.r] if args.r is not None else None,
         with_hardware=not args.no_hardware,
         samples=args.samples,
         seed=args.seed,
@@ -775,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=_cmd_info)
 
     sweep = sub.add_parser("sweep", help="sweep the design space of width N")
-    sweep.add_argument("n", type=int)
-    sweep.add_argument("--r", type=int, default=None)
+    sweep.add_argument("n", type=_positive_int)
+    sweep.add_argument("--r", type=_positive_int, default=None)
     sweep.add_argument("--no-hardware", action="store_true",
                        help="skip netlist characterisation (faster)")
     sweep.add_argument("--json", action="store_true",

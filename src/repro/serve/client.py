@@ -1,10 +1,14 @@
 """Client for the evaluation service (``gear client``).
 
-A thin stdlib-only wrapper over :mod:`http.client`: every call opens
-one request on a persistent keep-alive connection, posts the wire body
-as canonical JSON, and decodes the JSON response.  Non-2xx responses
-raise :class:`ServeError` carrying the status and the daemon's
-``error`` message.
+A thin stdlib-only HTTP/1.1 client over one persistent TCP socket (with
+``TCP_NODELAY``): each request is a single ``sendall`` of the request
+line, headers and canonical JSON body, and each response is one
+buffered read of the status line, the headers and exactly
+``Content-Length`` body bytes.  Non-2xx responses raise
+:class:`ServeError` carrying the status and the daemon's ``error``
+message; a response that is not a ``Content-Length`` framed HTTP/1.1
+answer (malformed status line, chunked encoding, short body) raises
+:class:`ConnectionError`.
 
 :func:`replay` drives a mixed request script concurrently (one
 connection per thread) and reports per-request latencies plus the
@@ -14,15 +18,21 @@ daemon's memo and coalescing counters — the engine behind
 
 from __future__ import annotations
 
-import http.client
+import io
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.serve import protocol
-from repro.serve.daemon import DEFAULT_HOST, DEFAULT_PORT
+from repro.serve.daemon import (
+    _MAX_HEADER_LINES,
+    _MAX_LINE_BYTES,
+    DEFAULT_HOST,
+    DEFAULT_PORT,
+)
 
 __all__ = ["ServeClient", "ServeError", "replay"]
 
@@ -34,6 +44,55 @@ class ServeError(RuntimeError):
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
         self.message = message
+
+
+def _read_line(rfile: io.BufferedReader, what: str) -> bytes:
+    line = rfile.readline(_MAX_LINE_BYTES + 1)
+    if not line.endswith(b"\n"):
+        raise ConnectionError(f"truncated or oversized {what}: {line[:80]!r}")
+    return line
+
+
+def _read_response(rfile: io.BufferedReader) -> Tuple[int, bytes, bool]:
+    """Read one response; returns ``(status, body, connection closes)``."""
+    if not rfile.peek(1):
+        # EOF before any byte: a dropped connection, the retryable case.
+        raise ConnectionResetError(
+            "daemon closed the connection without a response")
+    first = _read_line(rfile, "status line")
+    parts = first.split(None, 2)
+    if (len(parts) < 2 or parts[0] != b"HTTP/1.1" or len(parts[1]) != 3
+            or not parts[1].isdigit()):
+        raise ConnectionError(f"malformed status line: {first[:80]!r}")
+    status = int(parts[1])
+    closes = False
+    length = None
+    for _ in range(_MAX_HEADER_LINES):
+        line = _read_line(rfile, "header line")
+        if line in (b"\r\n", b"\n"):
+            break
+        name, sep, value = line.partition(b":")
+        if not sep:
+            raise ConnectionError(f"malformed header line: {line[:80]!r}")
+        name, value = name.strip().lower(), value.strip()
+        if name == b"content-length":
+            if not value.isdigit():
+                raise ConnectionError(f"bad Content-Length: {value[:80]!r}")
+            length = int(value)
+        elif name == b"transfer-encoding":
+            raise ConnectionError(f"unsupported Transfer-Encoding: "
+                                  f"{value[:80]!r}")
+        elif name == b"connection":
+            closes = value.lower() == b"close"
+    else:
+        raise ConnectionError(f"more than {_MAX_HEADER_LINES} header lines")
+    if length is None:
+        raise ConnectionError("response has no Content-Length")
+    body = rfile.read(length)
+    if len(body) != length:
+        raise ConnectionError(f"short response body: {len(body)} of "
+                              f"{length} bytes")
+    return status, body, closes
 
 
 class ServeClient:
@@ -48,7 +107,9 @@ class ServeClient:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._host_header = f"Host: {host}:{self.port}\r\n"
+        self._sock: Optional[socket.socket] = None
+        self._rfile: Optional[io.BufferedReader] = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -57,36 +118,50 @@ class ServeClient:
         self.close()
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
+    def _exchange(self, message: bytes) -> Tuple[int, bytes, bool]:
+        if self._sock is None:
+            sock = socket.create_connection((self.host, self.port),
+                                            self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._rfile = sock, sock.makefile("rb")
+        self._sock.sendall(message)
+        return _read_response(self._rfile)
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict] = None) -> Tuple[int, bytes]:
-        payload = None if body is None else protocol.canonical_bytes(body)
-        headers = {"Content-Type": "application/json"} if payload else {}
-        conn = self._connection()
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_header}"
+        if body is None:
+            message = (head + "\r\n").encode("latin-1")
+        else:
+            payload = protocol.canonical_bytes(body)
+            message = (f"{head}Content-Type: application/json\r\n"
+                       f"Content-Length: {len(payload)}\r\n\r\n"
+                       ).encode("latin-1") + payload
+        reused = self._sock is not None
         try:
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-        except (ConnectionError, http.client.HTTPException, OSError):
-            # The daemon may have closed a kept-alive connection (drain,
-            # idle timeout); retry once on a fresh one.
+            try:
+                status, data, closes = self._exchange(message)
+            except (ConnectionResetError, ConnectionAbortedError,
+                    BrokenPipeError):
+                # The daemon may have closed a kept-alive connection
+                # (drain, idle timeout); retry once on a fresh one.
+                if not reused:
+                    raise
+                self.close()
+                status, data, closes = self._exchange(message)
+        except BaseException:
+            # Whatever failed (timeout, malformed response), the stream
+            # is out of step with the daemon: never reuse it.
             self.close()
-            conn = self._connection()
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-        if response.will_close:
+            raise
+        if closes:
             self.close()
-        return response.status, data
+        return status, data
 
     def request_raw(self, method: str, path: str,
                     body: Optional[Dict] = None) -> Tuple[int, bytes]:

@@ -105,6 +105,34 @@ class TestCommands:
         assert "expected at least one argument" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "12", "--r", "0"], "argument --r: must be a positive"),
+        (["sweep", "0", "--no-hardware"], "argument n: must be a positive"),
+    ])
+    def test_sweep_non_positive_n_or_r_is_usage_error(self, capsys, argv,
+                                                      message):
+        # R=0 used to sweep every R and exit 0; n=0 was a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "table3", "--samples", "0"],
+        ["spectrum", "12", "4", "4", "--samples", "-5"],
+        ["sweep", "12", "--no-hardware", "--samples", "0"],
+    ])
+    def test_non_positive_samples_is_usage_error(self, capsys, argv):
+        # The first two were tracebacks; the sweep skipped sampling.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --samples: must be a positive integer" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["info", "12", "0", "4"],
         ["info", "4", "4", "4"],

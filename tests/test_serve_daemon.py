@@ -163,9 +163,9 @@ def test_wrong_method_is_405(client):
 
 def test_keep_alive_reuses_one_connection(client):
     client.healthz()
-    conn_before = client._connection()
+    sock_before = client._sock
     client.eval(EVAL_WIRE)
-    assert client._connection() is conn_before
+    assert sock_before is not None and client._sock is sock_before
 
 
 def test_errors_do_not_poison_the_connection(client):
