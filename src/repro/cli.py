@@ -202,6 +202,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine=engine,
         backend=getattr(args, "backend", "sampling"),
     )
+    if not results:
+        with_r = f" with R={args.r}" if args.r is not None else ""
+        raise CLIError(f"no GeAr configuration of width {args.n}{with_r}: "
+                       "an approximate GeAr adder needs 1 <= R <= N-2")
     if args.json:
         _print_json(sweep_to_json(results, args.n))
         return 0

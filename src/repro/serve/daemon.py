@@ -14,10 +14,13 @@ the conformance harness and the experiment registry as five endpoints:
   totals, p50/p99 latency from mergeable histograms, and the full
   telemetry report aggregated across worker frames.
 
-Request flow: the event loop parses HTTP and validates the wire body
-(bad requests never reach a worker) and computes the request's result
-identity.  A request answered before is served from the
-:class:`~repro.serve.memo.ResultMemo` of completed 200 bodies; any
+Request flow: the event loop parses HTTP.  A POST whose exact bytes
+were answered before is served at once from the
+:class:`~repro.serve.memo.ResultMemo` of completed 200 bodies.  Any
+other request has its wire body validated (bad requests never reach a
+worker) and its result identity derived, timed as the
+``serve.<endpoint>.resolve`` span.  A request whose identity was
+answered before is served from the memo; any
 other goes to the :class:`~repro.serve.coalesce.Coalescer` — concurrent
 duplicates share one worker-pool task.  Workers return ``(payload,
 telemetry frame)``; the daemon encodes the payload once, remembers the
@@ -288,21 +291,28 @@ class ServeDaemon:
                          f"{list(_POST_ENDPOINTS) + ['/healthz', '/stats']}"}
         if method != "POST":
             return 405, {"error": f"{path} needs POST"}
-        try:
-            wire = json.loads(body.decode() or "null")
-        except (UnicodeDecodeError, ValueError) as exc:
-            return 400, {"error": f"request body is not valid JSON: {exc}"}
         endpoint = path.lstrip("/")
-        try:
-            key = self._coalesce_key(endpoint, wire)
-        except protocol.ProtocolError as exc:
-            return 400, {"error": str(exc)}
-        except ValueError as exc:  # e.g. explicitly unsupported backend
-            return 400, {"error": str(exc)}
+        # An exact repeat of a request answered before skips parsing
+        # and identity derivation.
+        remembered = self.memo.recall(path, body)
+        if remembered is not None:
+            self.collector.count(f"serve.{endpoint}.remembered")
+            return 200, remembered
+        with self.collector.span(f"serve.{endpoint}.resolve"):
+            try:
+                wire = json.loads(body.decode() or "null")
+            except (UnicodeDecodeError, ValueError) as exc:
+                return 400, {"error": f"request body is not valid JSON: "
+                             f"{exc}"}
+            try:
+                key = self._coalesce_key(endpoint, wire)
+            except ValueError as exc:  # ProtocolError, unsupported backend
+                return 400, {"error": str(exc)}
 
         if key is not None:
             remembered = self.memo.get(key)
             if remembered is not None:
+                self.memo.alias(path, body, key)
                 self.collector.count(f"serve.{endpoint}.remembered")
                 return 200, remembered
         try:
@@ -318,6 +328,8 @@ class ServeDaemon:
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
         self.collector.count(
             f"serve.coalesce.{'hit' if coalesced else 'miss'}")
+        if key is not None:
+            self.memo.alias(path, body, key)
         return 200, answer
 
     def _coalesce_key(self, endpoint: str, wire: Dict) -> Optional[str]:
@@ -385,6 +397,7 @@ class ServeDaemon:
                 "memo": {
                     "hits": self.memo.hits,
                     "entries": len(self.memo),
+                    "aliases": self.memo.aliases,
                     "bytes": self.memo.bytes,
                 },
                 "coalesce": {

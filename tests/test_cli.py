@@ -119,6 +119,22 @@ class TestCommands:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "12", "--r", "13", "--no-hardware"],
+         "no GeAr configuration of width 12 with R=13"),
+        (["sweep", "12", "--r", "12", "--no-hardware"],
+         "no GeAr configuration of width 12 with R=12"),
+        (["sweep", "1", "--no-hardware"],
+         "no GeAr configuration of width 1:"),
+    ])
+    def test_sweep_without_a_configuration_is_usage_error(self, capsys,
+                                                          argv, message):
+        # Each used to print an empty table and exit 0.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["experiment", "table3", "--samples", "0"],
         ["spectrum", "12", "4", "4", "--samples", "-5"],

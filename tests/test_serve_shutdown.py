@@ -7,6 +7,7 @@ The in-process variant covers drain-with-inflight behaviour without
 subprocess latency.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -23,43 +24,48 @@ pytestmark = pytest.mark.skipif(sys.platform == "win32",
                                 reason="POSIX signals")
 
 
-def _spawn_daemon(tmp_path, *extra):
+@contextlib.contextmanager
+def _spawned_daemon(tmp_path, *extra):
+    """Run ``gear serve`` as a subprocess; yield ``(proc, port)``.
+
+    Its stderr goes to a file, so a chatty daemon never blocks on a full
+    pipe; on exit the daemon is killed if still running, and its stdout
+    pipe is drained and closed.
+    """
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
         "PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", *extra, "serve", "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-    ready = proc.stdout.readline().strip()
-    assert ready.startswith("serving on http://"), ready
-    port = int(ready.split(":")[2].split(" ")[0].rstrip("/"))
-    return proc, port
+    with open(tmp_path / "daemon.err", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *extra, "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=err, text=True, env=env)
+    try:
+        ready = proc.stdout.readline().strip()
+        assert ready.startswith("serving on http://"), (
+            ready, (tmp_path / "daemon.err").read_text())
+        yield proc, int(ready.split(":")[2].split(" ")[0].rstrip("/"))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
 
 
 def test_sigterm_exits_zero(tmp_path):
-    proc, port = _spawn_daemon(tmp_path)
-    try:
+    with _spawned_daemon(tmp_path) as (proc, port):
         with ServeClient(port=port) as client:
             assert client.healthz()["status"] == "ok"
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
 
 
 def test_sigterm_flushes_parseable_trace(tmp_path):
     trace = tmp_path / "serve-trace.jsonl"
-    proc, port = _spawn_daemon(tmp_path, "--trace", str(trace))
-    try:
+    with _spawned_daemon(tmp_path, "--trace", str(trace)) as (proc, port):
         with ServeClient(port=port) as client:
             client.eval({"adder": "gear_r2p2", "samples": 500, "seed": 1})
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
 
     assert trace.exists()
     records = [json.loads(line) for line in
