@@ -15,7 +15,7 @@ the true (exact-DP) error probability.
 """
 
 from repro.analysis.tables import format_table
-from repro.core.error_model import error_probability_exact, paper_error_probability
+from repro.core.error_model import paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.timing.pipeline import compare_with_model
 
@@ -34,7 +34,7 @@ def _run():
             "cmp": cmp,
             "strict": strict,
             "p_model": paper_error_probability(adder),
-            "p_true": error_probability_exact(adder.config),
+            "p_true": adder.error_probability(),
             "k": adder.config.k,
         })
     return rows

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.correction import ErrorCorrector
-from repro.core.error_model import error_probability, error_probability_exact
+from repro.core.error_model import error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.rtl.sim import simulate_bus
 
@@ -54,7 +54,7 @@ def test_error_model_dp_speed(benchmark):
 
 def test_exact_dp_speed(benchmark):
     cfg = GeArConfig(48, 8, 16)
-    value = benchmark(error_probability_exact, cfg)
+    value = benchmark(GeArAdder(cfg).error_probability)
     assert value == pytest.approx(error_probability(cfg), abs=1e-12)
 
 

@@ -39,7 +39,6 @@ from repro.core import (
     GeArConfig,
     accuracy_percentage,
     error_probability,
-    error_probability_exact,
     paper_error_probability,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "ErrorCorrector",
     "accuracy_percentage",
     "error_probability",
-    "error_probability_exact",
     "paper_error_probability",
     "__version__",
 ]

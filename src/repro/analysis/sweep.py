@@ -16,13 +16,9 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.adders.base import AdderModel
 from repro.core.configspace import enumerate_configs
-from repro.core.error_model import (
-    error_probability,
-    mean_error_distance_analytic,
-    normalized_error_distance_analytic,
-    paper_error_probability,
-)
+from repro.core.error_model import paper_error_probability
 from repro.core.gear import GeArAdder, GeArConfig
+from repro.spec.catalog import gear_spec
 from repro.timing.fpga import AdderCharacterization, characterize
 
 #: Default root seed for measured sweep columns (the paper's year).
@@ -143,47 +139,67 @@ def sweep_gear_configs(
         for r in r_values:
             configs.extend(enumerate_configs(n, r=r, allow_partial=allow_partial))
 
-    results: List[SweepResult] = []
-    for cfg in configs:
-        adder = GeArAdder(cfg)
-        char = _characterize_quietly(adder) if with_hardware else None
-        prob = error_probability(cfg)
-        results.append(
-            SweepResult(
-                name=adder.name,
-                r=cfg.r,
-                p=cfg.p,
-                k=cfg.k,
-                error_probability=prob,
-                accuracy_pct=(1.0 - prob) * 100.0,
-                med=mean_error_distance_analytic(cfg),
-                ned=normalized_error_distance_analytic(cfg),
-                delay_ns=char.delay_ns if char else None,
-                luts=char.luts if char else None,
-                **_measure(adder, samples, seed, engine, backend),
-            )
-        )
-    return results
+    return [_row(GeArAdder(cfg), with_hardware, None, samples, seed, engine,
+                 backend) for cfg in configs]
 
 
-def _gear_point(adder: AdderModel) -> Optional[GeArConfig]:
-    """The adder's ``config`` when the adder computes exactly its sums.
+def _gear_point(adder: AdderModel) -> Optional[AdderModel]:
+    """The model of the adder's GeAr point, when the adder computes
+    exactly its sums.
 
     A window's result bit ``j`` is the carry-free sum of operand bits
     ``[w.low, j]``, so two layouts add alike iff they give every result bit
     the same ``low``.  ETAII(16,8) and GDA(8,2,2) thereby match their GeAr
     points; GDA(20,4,6), whose blocks the GeAr layout does not reproduce,
-    does not.
+    does not.  A GeAr adder is its own point.
     """
     cfg = getattr(adder, "config", None)
     if not isinstance(cfg, GeArConfig):
         return None
+    spec = gear_spec(cfg.n, cfg.r, cfg.p, allow_partial=cfg.allow_partial)
+    if tuple(adder.windows) == spec.windows:
+        return adder
 
     def sources(windows):
         return [w.low for w in windows
                 for _ in range(w.result_low, w.result_high + 1)]
 
-    return cfg if sources(cfg.windows()) == sources(adder.windows) else None
+    return spec.to_model() if sources(spec.windows) == sources(adder.windows) \
+        else None
+
+
+def _row(adder: AdderModel, with_hardware: bool,
+         med_fn: Optional[Callable[[AdderModel], float]],
+         samples: Optional[int], seed: Optional[int], engine,
+         backend: str) -> SweepResult:
+    """One sweep row; see :func:`sweep_adder_family` for the columns."""
+    char = _characterize_quietly(adder) if with_hardware else None
+    prob = paper_error_probability(adder)
+    point = _gear_point(adder)
+    if point is not None:
+        med = point.mean_error_distance()
+        bound = point.max_error_distance()
+        ned = med / bound if bound else 0.0
+        r, p, k = adder.config.r, adder.config.p, len(adder.windows)
+    else:
+        med = med_fn(adder) if med_fn else float("nan")
+        bound = getattr(adder, "max_error_distance", None)
+        ned = med / bound() if (med_fn and callable(bound) and bound()) else float("nan")
+        r = p = 0
+        k = 1
+    return SweepResult(
+        name=adder.name,
+        r=r,
+        p=p,
+        k=k,
+        error_probability=prob if prob is not None else float("nan"),
+        accuracy_pct=(1.0 - prob) * 100.0 if prob is not None else float("nan"),
+        med=med,
+        ned=ned,
+        delay_ns=char.delay_ns if char else None,
+        luts=char.luts if char else None,
+        **_measure(adder, samples, seed, engine, backend),
+    )
 
 
 def sweep_adder_family(
@@ -204,37 +220,8 @@ def sweep_adder_family(
     closure); when absent, MED and NED report as NaN.  A ``samples`` budget adds
     engine-measured columns exactly as in :func:`sweep_gear_configs`.
     """
-    results: List[SweepResult] = []
-    for adder in adders:
-        char = _characterize_quietly(adder)
-        prob = paper_error_probability(adder)
-        cfg = _gear_point(adder)
-        if cfg is not None:
-            med = mean_error_distance_analytic(cfg)
-            ned = normalized_error_distance_analytic(cfg)
-            r, p, k = cfg.r, cfg.p, len(adder.windows)
-        else:
-            med = med_fn(adder) if med_fn else float("nan")
-            bound = getattr(adder, "max_error_distance", None)
-            ned = med / bound() if (med_fn and callable(bound) and bound()) else float("nan")
-            r = p = 0
-            k = 1
-        results.append(
-            SweepResult(
-                name=adder.name,
-                r=r,
-                p=p,
-                k=k,
-                error_probability=prob if prob is not None else float("nan"),
-                accuracy_pct=(1.0 - prob) * 100.0 if prob is not None else float("nan"),
-                med=med,
-                ned=ned,
-                delay_ns=char.delay_ns if char else None,
-                luts=char.luts if char else None,
-                **_measure(adder, samples, seed, engine, backend),
-            )
-        )
-    return results
+    return [_row(adder, True, med_fn, samples, seed, engine, backend)
+            for adder in adders]
 
 
 def sweep_to_json(results: Sequence[SweepResult], n: Optional[int] = None) -> dict:

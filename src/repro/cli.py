@@ -45,12 +45,7 @@ from typing import List, Optional
 
 from repro.analysis.sweep import sweep_gear_configs, sweep_to_json
 from repro.analysis.tables import format_table
-from repro.core.error_model import (
-    error_probability,
-    error_probability_exact,
-    max_error_distance,
-    mean_error_distance_analytic,
-)
+from repro.core.error_model import error_probability
 from repro.core.coverage import classify_config
 from repro.core.gear import GeArAdder, GeArConfig
 
@@ -173,11 +168,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(cfg.describe())
     print(f"covers: {', '.join(classify_config(cfg))}")
     print(f"error probability (paper model): {error_probability(cfg):.8f}")
-    print(f"error probability (exact DP)   : {error_probability_exact(cfg):.8f}")
-    print(f"mean error distance (analytic) : {mean_error_distance_analytic(cfg):.4f}")
-    print(f"max error distance             : {max_error_distance(cfg)}")
+    print(f"error probability (exact DP)   : {adder.error_probability():.8f}")
+    print(f"mean error distance (analytic) : {adder.mean_error_distance():.4f}")
+    print(f"max error distance             : {adder.max_error_distance()}")
     print("windows (low..high -> result bits):")
-    for i, w in enumerate(cfg.windows()):
+    for i, w in enumerate(adder.spec.windows):
         print(f"  sub-adder {i + 1}: [{w.high}:{w.low}] -> "
               f"S[{w.result_high}:{w.result_low}] (P={w.prediction_bits})")
     try:
@@ -239,16 +234,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verilog(args: argparse.Namespace) -> int:
     config = _gear_config(args)
+    spec = GeArAdder(config).spec
     if args.hierarchical:
-        from repro.rtl.hierarchy import emit_gear_hierarchical
+        from repro.rtl.hierarchy import emit_hierarchical
 
-        sys.stdout.write(emit_gear_hierarchical(config))
+        sys.stdout.write(emit_hierarchical(
+            spec, name=f"gear_h_{config.n}_{config.r}_{config.p}"))
         return 0
     from repro.rtl.verilog import to_verilog
 
-    netlist = GeArAdder(config).build_netlist()
-    assert netlist is not None
-    sys.stdout.write(to_verilog(netlist))
+    sys.stdout.write(to_verilog(spec.to_netlist()))
     return 0
 
 

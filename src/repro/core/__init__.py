@@ -1,10 +1,13 @@
 """The paper's contribution: the GeAr adder and its companion models.
 
-* :mod:`repro.core.gear` — the (N, R, P) configuration model of §3.1 and
-  the ``GeArAdder`` factory over its spec model,
+* :mod:`repro.core.gear` — the (N, R, P) parameters of §3.1, their
+  validation and notation (L, k), and the ``GeArAdder`` factory over the
+  point's spec model (``repro.spec.catalog.gear_spec`` lays out its
+  windows),
 * :mod:`repro.core.error_model` — the analytic error-probability model of
-  §3.2 (Eqs. 4–7), ``paper_error_probability`` for any adder, plus an
-  exact dynamic-programming reference,
+  §3.2 (Eqs. 4–7), ``paper_error_probability`` for any adder, and the
+  exact window chains behind every model's ``error_probability()`` and
+  ``mean_error_distance()``,
 * :mod:`repro.core.correction` — the configurable error detection and
   correction scheme of §3.3, with cycle accounting,
 * :mod:`repro.core.configspace` — enumeration of valid configurations
@@ -18,7 +21,6 @@ from repro.core.error_model import (
     ErrorEvent,
     error_events,
     error_probability,
-    error_probability_exact,
     accuracy_percentage,
     paper_error_probability,
 )
@@ -43,7 +45,6 @@ __all__ = [
     "ErrorEvent",
     "error_events",
     "error_probability",
-    "error_probability_exact",
     "accuracy_percentage",
     "paper_error_probability",
     "CorrectionResult",

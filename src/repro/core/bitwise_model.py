@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.error_model import error_probability_windows
-from repro.core.gear import GeArConfig
 from repro.utils.distributions import OperandDistribution
 from repro.utils.validation import check_pos_int
 
@@ -91,12 +90,21 @@ def statistics_from_distribution(
 
 
 def predict_error_rate(
-    config: GeArConfig,
+    adder,
     distribution: OperandDistribution,
     samples: int = 100_000,
     seed: Optional[int] = 2015,
 ) -> float:
-    """Bitwise-model prediction of the error rate on a distribution."""
+    """Bitwise-model prediction of ``adder``'s error rate on a distribution.
+
+    Runs the chain over the model's own layout (``adder.windows``, of
+    width ``adder.width``).  A fixed low part or a rectify stage changes
+    the sum outside that chain, so such an adder is refused.
+    """
+    if adder.spec.low_bits or adder.spec.rectify is not None:
+        raise ValueError(
+            f"predict_error_rate models plain window layouts; {adder.name!r} "
+            "has a fixed low part or a rectify stage")
     stats = statistics_from_distribution(distribution, samples=samples, seed=seed)
-    return error_probability_windows(config.windows(), config.n,
+    return error_probability_windows(adder.windows, adder.width,
                                      rates=stats.rates)

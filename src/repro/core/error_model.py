@@ -1,6 +1,6 @@
 """Error-probability models for GeAr configurations (§3.2, Eqs. 4–7).
 
-Three engines are provided:
+The paper's model and the exact chains it is checked against:
 
 1. :func:`error_probability` — the paper's analytic model.  Every
    speculative sub-adder ``s`` (window base ``b_s = R·s``) contributes R
@@ -18,17 +18,21 @@ Three engines are provided:
    Eq. 7 (one term per compatible event subset).  Exponentially slower;
    used to validate the DP in tests.
 
-3. :func:`error_probability_exact` — the exact error probability for
-   i.i.d. uniform operand bits, computed from first principles (a dynamic
-   program over bit positions with state (carry into next bit, trailing
-   propagate-run length)) with no reference to the paper's event set.
-   The same chain, :func:`error_probability_windows`, takes any window
-   layout and optional per-bit (generate, propagate) rates.
+3. :func:`error_probability_windows` — the exact error probability of any
+   window layout, computed from first principles (a dynamic program over
+   bit positions with state (carry into the next bit, trailing
+   propagate-run length)) with no reference to the paper's event set, for
+   uniform operands or per-bit (generate, propagate) rates.  An adder
+   model's ``error_probability()`` runs it over the model's own windows,
+   so ``GeArAdder(cfg).error_probability()`` is the exact rate of a GeAr
+   point.
 
 :func:`mean_error_distance_windows` is the matching O(N) closed form of
-the mean error distance.  These closed forms describe plain speculative
-layouts; the exact error PMF of any layout, including static low parts
-and rectify stages, is :func:`repro.engine.analytic.adder_error_pmf`.
+the mean error distance, behind a model's ``mean_error_distance()``;
+``max_error_distance()`` comes from the spec.  These closed forms
+describe plain speculative layouts; the exact error PMF of any layout,
+including static low parts and rectify stages, is
+:func:`repro.engine.analytic.adder_error_pmf`.
 
 A noteworthy reproduction finding: engines 1 and 3 agree to machine
 precision on every strict configuration (integer ``(N-L)/R``).  The paper's event set looks truncated
@@ -37,8 +41,8 @@ actually *complete*: a carry generated deeper down that propagates into a
 window's prediction span necessarily fires the event of the window owning
 that generate position, because the windows' generate ranges tile every
 lower bit position.  So Eq. 5-7 is an exact formula, not an
-approximation, for uniform operands — `error_probability_exact` is kept
-as an independent derivation that validates this, and the ablation bench
+approximation, for uniform operands — the chain is kept as an
+independent derivation that validates this, and the ablation bench
 instead quantifies how far *non-uniform* operand distributions pull the
 true error rate away from the model.
 
@@ -223,27 +227,6 @@ def error_probability_brute(config: GeArConfig, max_events: int = 22) -> float:
     return recurse(0, [])
 
 
-def error_probability_exact(config: GeArConfig) -> float:
-    """Exact ρ[Error] for i.i.d. uniform operand bits, from first principles.
-
-    Agrees with :func:`error_probability` on every configuration (see the
-    module docstring); retained as an independent validation path and for
-    windowed adders whose geometry deviates from GeAr's (partial windows
-    use their actual prediction depths here).
-
-    A sub-adder window errs iff the true carry entering its lowest read bit
-    is 1 *and* all its prediction bits propagate — then and only then does
-    its result field miss an incoming carry.  The probability that no
-    window errs is computed by a forward DP over bit positions with state
-    ``(carry into the next bit, trailing propagate-run length)``; the run
-    length is capped at the largest prediction depth.  When every P
-    prediction bits propagate, the carry leaving the prediction span equals
-    the carry entering it, so the check at the span's top bit sees exactly
-    the quantities needed.
-    """
-    return error_probability_windows(config.windows(), config.n)
-
-
 def error_probability_windows(
     windows, n: int, rates: Optional[Sequence[Tuple[float, float]]] = None,
 ) -> float:
@@ -253,6 +236,15 @@ def error_probability_windows(
     ETAIIM's fused segments and GDA's zero-anchored blocks as well as plain
     GeAr configurations.  Windows anchored at bit 0 see every lower bit and
     cannot err, so they contribute no check.
+
+    A window errs iff the true carry entering its lowest read bit is 1
+    *and* all its prediction bits propagate — then and only then does its
+    result field miss an incoming carry.  The probability of that is a
+    forward DP over bit positions with state ``(carry into the next bit,
+    trailing propagate-run length)``, the run length capped at the largest
+    prediction depth.  When every P prediction bits propagate, the carry
+    leaving the prediction span equals the carry entering it, so the check
+    at the span's top bit sees exactly the quantities needed.
 
     ``rates`` gives each bit's ``(generate, propagate)`` probabilities,
     LSB first; ``None`` is the paper's uniform-operand ``(1/4, 1/2)``.
@@ -340,26 +332,3 @@ def mean_error_distance_windows(windows, n: int) -> float:
         if s < last:
             med -= miss * 0.5 ** w.result_bits * 2.0 ** (w.result_high + 1)
     return med
-
-
-def mean_error_distance_analytic(config: GeArConfig) -> float:
-    """Exact E[|approx - exact|] of a GeAr configuration (uniform operands)."""
-    return mean_error_distance_windows(config.windows(), config.n)
-
-
-def max_error_distance(config: GeArConfig) -> int:
-    """Upper bound on |approx - exact|: Σ speculative 2^{result_low}.
-
-    Tight for k = 2 (a single speculative window).  For k > 2 simultaneous
-    misses can partially cancel — a missed carry that overflows an
-    all-ones result field hands its weight to the next window — so the
-    realised worst case may be lower.  Used as the NED normaliser.
-    """
-    return sum(1 << w.result_low for w in config.windows()[1:])
-
-
-def normalized_error_distance_analytic(config: GeArConfig) -> float:
-    """NED = MED / max-error-distance, both from the exact analytic model."""
-    if config.is_exact:
-        return 0.0
-    return mean_error_distance_analytic(config) / max_error_distance(config)

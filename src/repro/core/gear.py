@@ -10,7 +10,9 @@ A GeAr adder is fully defined by three parameters ``(N, R, P)``:
 
 The first sub-adder covers bits ``[L-1:0]`` and contributes all L bits
 (Eq. 2); sub-adder ``i`` (1 < i <= k) covers ``[R·i+P-1 : R·(i-1)]`` and
-contributes its top R bits (Eq. 3).
+contributes its top R bits (Eq. 3).  That layout is built in one place,
+:func:`repro.spec.catalog.gear_spec`; this module keeps the parameters,
+their validation and the paper's notation.
 
 When ``(N - L)`` is not a multiple of ``R`` the paper still evaluates the
 configuration (Table IV uses R = 3, 6, 7 with N = 20, L = 10): its error
@@ -24,9 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-from repro.spec.ir import WindowSpec
 from repro.utils.validation import check_pos_int
 
 
@@ -83,32 +84,6 @@ class GeArConfig:
         """Sub-adders whose carry is predicted rather than propagated."""
         return self.k - 1
 
-    def windows(self) -> List[WindowSpec]:
-        """The k sub-adder windows, lowest first.
-
-        Window 0 covers ``[0, L-1]`` and drives all L bits.  Window ``i``
-        covers ``[R·i, R·i + L - 1]`` and drives its top R bits, except that
-        in partial mode the last window is anchored at ``high = N-1``.
-        """
-        result: List[WindowSpec] = [
-            WindowSpec(low=0, high=self.L - 1, result_low=0, result_high=self.L - 1)
-        ]
-        for i in range(1, self.k):
-            low = self.r * i
-            high = low + self.L - 1
-            result_low = low + self.p
-            if high > self.n - 1:
-                # Partial last window: keep length L, anchor at the top.
-                high = self.n - 1
-                low = high - self.L + 1
-                result_low = result[-1].result_high + 1
-            result.append(
-                WindowSpec(
-                    low=low, high=high, result_low=result_low, result_high=high
-                )
-            )
-        return result
-
     def describe(self) -> str:
         """Compact human-readable summary, e.g. ``GeAr(N=12, R=4, P=4), k=2``."""
         return f"GeAr(N={self.n}, R={self.r}, P={self.p}), L={self.L}, k={self.k}"
@@ -147,8 +122,8 @@ def GeArAdder(config: GeArConfig):
     §3.2 model.  Behaves bit-exactly like the paper's architecture,
     including the speculative carry out, and vectorises over NumPy arrays.
     """
-    # Lazy: the spec catalog builds GeAr windows from GeArConfig, so this
-    # module cannot import it at load time.
+    # Lazy: the spec catalog validates GeAr points through GeArConfig, so
+    # this module cannot import it at load time.
     from repro.spec.catalog import gear_spec
 
     return labelled_model(

@@ -3,11 +3,11 @@
 1. **Model exactness and input-distribution sensitivity** (§3.2): our
    reproduction found that Eq. 5–7 is not an approximation but an *exact*
    formula for i.i.d. uniform operands — the independently derived DP
-   (`error_probability_exact`) matches it to machine precision.  What the
-   model *is* sensitive to is the uniform-operand assumption
-   (ρ[Pr] = 1/2, ρ[Gr] = 1/4): this ablation measures the true error rate
-   under Gaussian, exponential and sparse operand distributions and
-   reports the drift from the model.
+   (``GeArAdder(cfg).error_probability()``) matches it to machine
+   precision.  What the model *is* sensitive to is the uniform-operand
+   assumption (ρ[Pr] = 1/2, ρ[Gr] = 1/4): this ablation measures the true
+   error rate under Gaussian, exponential and sparse operand distributions
+   and reports the drift from the model.
 
 2. **Selective correction** (§3.3 error-control select): enabling the
    detector/corrector on only the most significant sub-adders trades
@@ -26,11 +26,7 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.core.correction import ErrorCorrector
 from repro.core.bitwise_model import predict_error_rate
-from repro.core.error_model import (
-    error_probability,
-    error_probability_exact,
-    max_error_distance,
-)
+from repro.core.error_model import error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.experiments.result import ExperimentResult
 from repro.utils.distributions import (
@@ -111,7 +107,7 @@ def run_distribution_sensitivity_ablation(
                 engine=engine,
             ).stats.error_rate
             bitwise[name] = predict_error_rate(
-                cfg, dist, samples=min(samples, 50_000), seed=seed + 1
+                adder, dist, samples=min(samples, 50_000), seed=seed + 1
             )
         rows.append(
             DistributionRow(
@@ -119,7 +115,7 @@ def run_distribution_sensitivity_ablation(
                 r=r,
                 p=p,
                 model=error_probability(cfg),
-                exact_dp=error_probability_exact(cfg),
+                exact_dp=adder.error_probability(),
                 measured=measured,
                 bitwise_predicted=bitwise,
             )
@@ -193,7 +189,7 @@ def run_correction_policy_ablation(
     dist = UniformOperands(n)
     a, b = dist.sample_pairs(samples, seed=seed)
     exact = a + b
-    d_max = max_error_distance(cfg)
+    d_max = adder.max_error_distance()
 
     rows: List[CorrectionPolicyRow] = []
     spec = cfg.k - 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.tables import format_table
-from repro.core.error_model import error_probability, error_probability_exact
+from repro.core.error_model import error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.experiments.result import ExperimentResult
 from repro.paperdata import PAPER_SAMPLE_COUNT, TABLE3_ERROR_PROBABILITY
@@ -81,7 +81,7 @@ def run_table3(samples: int = PAPER_SAMPLE_COUNT, seed: int = 2015,
                 p=p,
                 k=cfg.k,
                 analytic_pct=error_probability(cfg) * 100.0,
-                exact_pct=error_probability_exact(cfg) * 100.0,
+                exact_pct=adder.error_probability() * 100.0,
                 simulated_pct=measured * 100.0,
                 samples=samples,
                 paper_analytic_pct=ref.get("analytic_pct"),

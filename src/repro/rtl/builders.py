@@ -472,22 +472,20 @@ def build_gear_corrected(
     See :class:`repro.rtl.correction_harness.MultiCycleCorrector` for the
     cycle-accurate wrapper.
     """
-    from repro.core.gear import GeArConfig  # local import to avoid a cycle
-
-    cfg = GeArConfig(n, r, p, allow_partial=allow_partial)
-    if cfg.k < 2:
+    windows = gear_spec(n, r, p, allow_partial=allow_partial).windows
+    if len(windows) < 2:
         raise ValueError("correction needs at least one speculative sub-adder")
     nl = Netlist(name)
     a = nl.add_input_bus("A", n)
     b = nl.add_input_bus("B", n)
-    en = nl.add_input_bus("EN", cfg.k - 1)
-    corr = nl.add_input_bus("CORR", cfg.k - 1)
+    en = nl.add_input_bus("EN", len(windows) - 1)
+    corr = nl.add_input_bus("CORR", len(windows) - 1)
 
     result: List[str] = [""] * n
     carry_outs: List[str] = []
     flags: List[str] = []
 
-    for i, window in enumerate(cfg.windows()):
+    for i, window in enumerate(windows):
         lo, hi = window.low, window.high
         if i == 0:
             sums, cout = _ripple_chain(nl, a[lo : hi + 1], b[lo : hi + 1])

@@ -1,10 +1,11 @@
-"""Hierarchical Verilog: modular GeAr RTL and its elaborator.
+"""Hierarchical Verilog: modular RTL of a spec's windows, and its elaborator.
 
 The authors' released RTL is modular — one sub-adder entity instantiated k
-times.  :func:`emit_gear_hierarchical` reproduces that shape: a gate-level
-``<top>_sub`` module (one per distinct window length) plus a top module
-that instantiates it per window, wires the operand slices, selects the
-resultant bits and computes the §3.3 detection flags.
+times.  :func:`emit_hierarchical` reproduces that shape for any plain
+window layout of an :class:`~repro.spec.ir.AdderSpec`: a gate-level
+``<top>_sub<L>`` module per distinct window architecture and length plus a
+top module that instantiates one per window, wires the operand slices,
+selects the resultant bits and computes the §3.3 detection flags.
 
 :func:`elaborate_hierarchical` parses that exact format back (module
 splitting, instance stitching with part-select connections, vector
@@ -20,12 +21,12 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.gear import GeArConfig
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
 from repro.rtl.verilog import to_verilog
 from repro.rtl.verilog_parser import VerilogSyntaxError, parse_verilog
 from repro.spec.catalog import exact_spec
+from repro.spec.ir import AdderSpec
 
 _INSTANCE_RE = re.compile(
     r"^\s*(?P<module>[A-Za-z_]\w*)\s+(?P<inst>[A-Za-z_]\w*)\s*\("
@@ -41,40 +42,56 @@ _ASSIGN_RE = re.compile(r"^\s*assign\s+(?P<lhs>\S+)\s*=\s*(?P<rhs>.+);.*$")
 _REF_RE = re.compile(r"^(?P<base>[A-Za-z_]\w*)(?:\[(?P<hi>\d+)(?::(?P<lo>\d+))?\])?$")
 
 
-def emit_gear_hierarchical(config: GeArConfig, name: Optional[str] = None) -> str:
-    """Render GeAr(N, R, P) as modular Verilog (sub-adder + top).
+def emit_hierarchical(spec: AdderSpec, name: Optional[str] = None) -> str:
+    """Render a spec's window layout as modular Verilog (sub-adders + top).
 
-    The sub-adder module is the gate-level L-bit ripple adder; the top
-    module instantiates one per window, selects each window's resultant
-    bits, and derives the ``ERR`` flags from the prediction-bit propagates
-    and the previous instance's carry out.
+    Each distinct ``(arch, length)`` window becomes one gate-level
+    sub-adder module, the exact adder of that architecture; the top module
+    (named ``name``, default the spec's name) instantiates one per window,
+    selects each window's resultant bits and, when the spec declares
+    ``error_detect``, derives the §3.3 ``ERR`` flags from the
+    prediction-bit propagates and the previous instance's carry out.
+
+    Raises:
+        ValueError: the spec has a fixed low part (truncation or a static
+            window), a rectify stage, or a window with a separate carry
+            generator (``gen_*`` prediction) — parts a window instance
+            cannot express.
     """
-    top_name = name or f"gear_h_{config.n}_{config.r}_{config.p}"
-    windows = config.windows()
-    lengths = sorted({w.length for w in windows})
+    if (spec.low_bits or spec.rectify is not None
+            or any(w.pred != "fused" for w in spec.windows)):
+        raise ValueError(
+            f"{spec.name}: hierarchical Verilog covers fused window layouts; "
+            "a fixed low part, a rectify stage or a gen_* carry generator "
+            "is not supported")
+    top_name = name or spec.name
+    windows = spec.windows
     sub_sources: List[str] = []
-    sub_names: Dict[int, str] = {}
-    for length in lengths:
-        sub = exact_spec(length, name=f"{top_name}_sub{length}").to_netlist()
-        sub_names[length] = sub.name
+    sub_names: Dict[Tuple[str, int], str] = {}
+    for length, arch in sorted({(w.length, w.arch) for w in windows}):
+        suffix = "" if arch == "rca" else f"_{arch}"
+        sub = exact_spec(length, arch,
+                         name=f"{top_name}_sub{length}{suffix}").to_netlist()
+        sub_names[arch, length] = sub.name
         sub_sources.append(to_verilog(sub))
 
-    k = config.k
+    n = spec.width
+    flags = len(windows) - 1 if spec.error_detect else 0
     lines: List[str] = [
         f"module {top_name} (",
-        f"  input  [{config.n - 1}:0] A,",
-        f"  input  [{config.n - 1}:0] B,",
-        f"  output [{config.n}:0] S" + ("," if k > 1 else ""),
+        f"  input  [{n - 1}:0] A,",
+        f"  input  [{n - 1}:0] B,",
+        f"  output [{n}:0] S" + ("," if flags else ""),
     ]
-    if k > 1:
-        lines.append(f"  output [{k - 2}:0] ERR")
+    if flags:
+        lines.append(f"  output [{flags - 1}:0] ERR")
     lines.append(");")
 
     # Instances with their output vectors.
     for i, w in enumerate(windows):
         lines.append(f"  wire [{w.length}:0] win{i};")
         lines.append(
-            f"  {sub_names[w.length]} u{i} (.A(A[{w.high}:{w.low}]), "
+            f"  {sub_names[w.arch, w.length]} u{i} (.A(A[{w.high}:{w.low}]), "
             f".B(B[{w.high}:{w.low}]), .S(win{i}));"
         )
 
@@ -83,10 +100,10 @@ def emit_gear_hierarchical(config: GeArConfig, name: Optional[str] = None) -> st
         for bit in range(w.result_low, w.result_high + 1):
             lines.append(f"  assign S[{bit}] = win{i}[{bit - w.low}];")
     last = len(windows) - 1
-    lines.append(f"  assign S[{config.n}] = win{last}[{windows[last].length}];")
+    lines.append(f"  assign S[{n}] = win{last}[{windows[last].length}];")
 
     # Detection flags: cp_i (AND of prediction propagates) & co_{i-1}.
-    for i, w in enumerate(windows[1:], start=1):
+    for i, w in enumerate(windows[1:flags + 1], start=1):
         props = [f"(A[{w.low + j}] ^ B[{w.low + j}])"
                  for j in range(w.prediction_bits)]
         cp = " & ".join(props)

@@ -242,10 +242,12 @@ def replay(script: List[Dict], host: str = DEFAULT_HOST,
         items.append((endpoint, body))
 
     local = threading.local()
+    clients: List[ServeClient] = []
 
     def client() -> ServeClient:
         if getattr(local, "client", None) is None:
             local.client = ServeClient(host, port, timeout=timeout)
+            clients.append(local.client)
         return local.client
 
     def one(item: Tuple[str, Dict]) -> Tuple[float, Optional[str]]:
@@ -259,8 +261,15 @@ def replay(script: List[Dict], host: str = DEFAULT_HOST,
 
     with ServeClient(host, port, timeout=timeout) as probe:
         before = probe.stats()["server"]
-        with ThreadPoolExecutor(max_workers=max(1, int(concurrency))) as pool:
-            outcomes = list(pool.map(one, items))
+        try:
+            with ThreadPoolExecutor(
+                    max_workers=max(1, int(concurrency))) as pool:
+                outcomes = list(pool.map(one, items))
+        finally:
+            # One connection per pool thread; close them all once the
+            # pool has joined.
+            for each in clients:
+                each.close()
         after = probe.stats()["server"]
 
     latencies = sorted(t for t, _ in outcomes)

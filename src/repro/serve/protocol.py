@@ -44,6 +44,7 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import api
+from repro.spec.ir import _int_field
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -88,16 +89,14 @@ def canonical_bytes(payload: Any) -> bytes:
 
 
 def _integer_field(wire: Dict, key: str, default: Optional[int]) -> int:
-    """An integer wire field: a bool or a non-integral number is a 400.
-
-    An integral float such as ``6.0`` reads as 6.
+    """An integer wire field under the spec IR's one integer rule
+    (:func:`repro.spec.ir._int_field`): a bool or a non-integral number
+    is a 400, an integral float such as ``6.0`` reads as 6.
     """
-    value = wire.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"{key!r} must be an integer, got {value!r}")
-    return value
+    try:
+        return _int_field(wire, key, default)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def _width_field(wire: Dict, key: str, default: Optional[int]) -> int:

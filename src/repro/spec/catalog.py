@@ -37,17 +37,31 @@ def exact_spec(width: int, arch: str = "rca",
 def gear_spec(n: int, r: int, p: int, allow_partial: bool = False,
               arch: str = "rca", error_detect: bool = True,
               name: Optional[str] = None) -> AdderSpec:
-    """GeAr(N, R, P) per §3.1 — fused windows, §3.3 ERR flags by default."""
+    """GeAr(N, R, P) per §3.1 — fused windows, §3.3 ERR flags by default.
+
+    The one derivation of a GeAr window layout.  Window 0 covers
+    ``[0, L-1]`` and drives all L bits (Eq. 2); window ``i`` covers
+    ``[R·i, R·i + L - 1]`` and drives its top R bits (Eq. 3), except that
+    with ``allow_partial`` a last window that would overrun the word keeps
+    its length L, anchors at ``high = N-1`` and drives the remaining bits.
+    """
     # Lazy: the adder factories import this module, and repro.core's
     # package __init__ pulls the multiplier, which needs the adders.
     from repro.core.gear import GeArConfig
 
     cfg = GeArConfig(n, r, p, allow_partial=allow_partial)
-    windows = tuple(
-        WindowSpec(w.low, w.high, w.result_low, w.result_high, arch=arch)
-        for w in cfg.windows()
-    )
-    return AdderSpec(name or f"gear_{n}_{r}_{p}", n, windows,
+    length = cfg.L
+    windows = [WindowSpec(0, length - 1, 0, length - 1, arch=arch)]
+    for i in range(1, cfg.k):
+        low = r * i
+        high = low + length - 1
+        result_low = low + p
+        if high > n - 1:
+            high = n - 1
+            low = high - length + 1
+            result_low = windows[-1].result_high + 1
+        windows.append(WindowSpec(low, high, result_low, high, arch=arch))
+    return AdderSpec(name or f"gear_{n}_{r}_{p}", n, tuple(windows),
                      error_detect=error_detect and cfg.k > 1)
 
 

@@ -83,13 +83,28 @@ def _document(data: Any, what: str) -> Dict[str, Any]:
 
 
 def _int_field(data: Dict[str, Any], key: str, *default: Any) -> int:
-    """``int(data[key])``; a missing or non-numeric field is a ValueError."""
+    """The integer ``data[key]``: a missing field, a bool or a non-integral
+    number is a ValueError.  An integral float such as ``6.0`` reads as 6.
+    """
+    value = _typed_field(data, key, object, *default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _typed_field(data: Dict[str, Any], key: str, kind: type,
+                 *default: Any) -> Any:
+    """``data[key]``, which must be a ``kind``; a missing or mistyped field
+    is a ValueError."""
     if key not in data and not default:
         raise ValueError(f"missing field {key!r}")
-    try:
-        return int(data.get(key, *default))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"field {key!r}: {exc}") from None
+    value = data.get(key, *default)
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"field {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 #: Sub-adder architectures the window compiler knows how to build.
@@ -237,10 +252,11 @@ class WindowSpec:
         return cls(low=_int_field(data, "low"), high=_int_field(data, "high"),
                    result_low=_int_field(data, "result_low"),
                    result_high=_int_field(data, "result_high"),
-                   arch=str(data.get("arch", "rca")),
-                   pred=str(data.get("pred", "fused")),
-                   kind=str(data.get("kind", "speculative")),
-                   approx=None if approx is None else str(approx))
+                   arch=_typed_field(data, "arch", str, "rca"),
+                   pred=_typed_field(data, "pred", str, "fused"),
+                   kind=_typed_field(data, "kind", str, "speculative"),
+                   approx=None if approx is None
+                   else _typed_field(data, "approx", str))
 
 
 @dataclass(frozen=True)
@@ -283,9 +299,12 @@ class RectifySpec:
         if unknown:
             raise ValueError(f"unknown rectify fields {sorted(unknown)}")
         enabled = data.get("enabled")
-        return cls(kind=str(data.get("kind", "ripple")),
-                   enabled=None if enabled is None
-                   else tuple(int(i) for i in enabled))
+        if enabled is not None:
+            enabled = tuple(
+                _int_field({"enabled": i}, "enabled")
+                for i in _typed_field(data, "enabled", list))
+        return cls(kind=_typed_field(data, "kind", str, "ripple"),
+                   enabled=enabled)
 
 
 @dataclass(frozen=True)
@@ -510,14 +529,12 @@ class AdderSpec:
                 'version 1 documents cannot declare static windows or a '
                 'rectify stage; set "version": 2'
             )
-        if "name" not in data:
-            raise ValueError("missing field 'name'")
         return cls(
-            name=str(data["name"]),
+            name=_typed_field(data, "name", str),
             width=_int_field(data, "width"),
             windows=tuple(windows),
             truncation=_int_field(data, "truncation", 0),
-            error_detect=bool(data.get("error_detect", False)),
+            error_detect=_typed_field(data, "error_detect", bool, False),
             rectify=rectify,
         )
 

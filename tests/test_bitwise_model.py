@@ -9,18 +9,18 @@ from repro.core.bitwise_model import (
     predict_error_rate,
     statistics_from_distribution,
 )
-from repro.core.error_model import (
-    error_probability_exact,
-    error_probability_windows,
-)
+from repro.core.error_model import error_probability_windows
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.engine import EvalRequest, evaluate
 from repro.utils.distributions import GaussianOperands, SparseOperands, UniformOperands
 
 
 def _bitwise_error_probability(cfg, stats):
-    """The window chain under measured per-bit rates."""
-    return error_probability_windows(cfg.windows(), cfg.n, rates=stats.rates)
+    """The window chain over the GeAr model's layout under measured
+    per-bit rates."""
+    adder = GeArAdder(cfg)
+    return error_probability_windows(adder.windows, adder.width,
+                                     rates=stats.rates)
 
 
 def _measured_error_rate(adder, samples, seed, distribution):
@@ -69,14 +69,15 @@ class TestBitwiseProbability:
             cfg = GeArConfig(n, r, p)
             assert _bitwise_error_probability(
                 cfg, BitStatistics.uniform(n)
-            ) == pytest.approx(error_probability_exact(cfg), abs=1e-12)
+            ) == pytest.approx(GeArAdder(cfg).error_probability(), abs=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             _bitwise_error_probability(GeArConfig(16, 4, 4),
                                        BitStatistics.uniform(8))
         with pytest.raises(ValueError):
-            predict_error_rate(GeArConfig(16, 4, 4), UniformOperands(8),
+            predict_error_rate(GeArAdder(GeArConfig(16, 4, 4)),
+                               UniformOperands(8),
                                samples=1000)
 
     def test_exact_config_zero(self):
@@ -102,22 +103,33 @@ class TestPredictions:
         (lambda: GaussianOperands(16), 0.015),
     ])
     def test_prediction_close_to_measurement(self, dist_factory, abs_tol):
-        cfg = GeArConfig(16, 2, 2)
+        adder = GeArAdder(GeArConfig(16, 2, 2))
         dist = dist_factory()
-        predicted = predict_error_rate(cfg, dist, samples=100_000, seed=5)
+        predicted = predict_error_rate(adder, dist, samples=100_000, seed=5)
         measured = _measured_error_rate(
-            GeArAdder(cfg), samples=100_000, seed=6, distribution=dist
+            adder, samples=100_000, seed=6, distribution=dist
         )
         assert predicted == pytest.approx(measured, abs=abs_tol)
+
+    @pytest.mark.parametrize("key", ["loa_half", "hoeraa", "cesa_rect"])
+    def test_non_plain_layout_refused(self, key):
+        # The chain reads only the speculative windows; an OR-reduced low
+        # part or a rectify stage changes the sum outside them.
+        from repro.spec.catalog import spec_adder
+
+        with pytest.raises(ValueError, match="plain window layouts"):
+            predict_error_rate(spec_adder(key, 16), UniformOperands(16),
+                               samples=1000)
 
     def test_prediction_beats_paper_model_on_sparse_data(self):
         from repro.core.error_model import error_probability
 
         cfg = GeArConfig(16, 2, 2)
+        adder = GeArAdder(cfg)
         dist = SparseOperands(16, one_density=0.25)
         measured = _measured_error_rate(
-            GeArAdder(cfg), samples=100_000, seed=7, distribution=dist
+            adder, samples=100_000, seed=7, distribution=dist
         )
-        bitwise_gap = abs(predict_error_rate(cfg, dist, seed=8) - measured)
+        bitwise_gap = abs(predict_error_rate(adder, dist, seed=8) - measured)
         paper_gap = abs(error_probability(cfg) - measured)
         assert bitwise_gap < paper_gap / 10

@@ -8,13 +8,9 @@ from repro.core.error_model import (
     error_events,
     error_probability,
     error_probability_brute,
-    error_probability_exact,
     accuracy_percentage,
     error_probability_windows,
-    max_error_distance,
-    mean_error_distance_analytic,
     mean_error_distance_windows,
-    normalized_error_distance_analytic,
     paper_error_probability,
 )
 from repro.adders import (
@@ -91,7 +87,7 @@ class TestInclusionExclusion:
 
     def test_exact_config_zero(self):
         assert error_probability(GeArConfig(8, 4, 4)) == 0.0
-        assert error_probability_exact(GeArConfig(8, 4, 4)) == 0.0
+        assert GeArAdder(GeArConfig(8, 4, 4)).error_probability() == 0.0
 
     def test_probability_in_unit_interval(self):
         for p in range(1, 14):
@@ -119,7 +115,7 @@ class TestExactDP:
     def test_matches_exhaustive_enumeration(self, n, r, p):
         cfg = GeArConfig(n, r, p, allow_partial=(n - r - p) % r != 0)
         adder = GeArAdder(cfg)
-        assert error_probability_exact(cfg) == pytest.approx(
+        assert adder.error_probability() == pytest.approx(
             exhaustive_error_probability(adder), abs=1e-12
         )
 
@@ -131,7 +127,7 @@ class TestExactDP:
         # Reproduction finding: the Eq. 5-7 event set is complete, so the
         # model equals the first-principles DP on every strict configuration.
         cfg = GeArConfig(n, r, p)
-        assert error_probability_exact(cfg) == pytest.approx(
+        assert GeArAdder(cfg).error_probability() == pytest.approx(
             error_probability(cfg), abs=1e-12
         )
 
@@ -140,7 +136,7 @@ class TestExactDP:
         # With (N-L) % R != 0 the model scores a nominal full-R last window,
         # while the functional adder's anchored last window errs less.
         cfg = GeArConfig(n, r, p, allow_partial=True)
-        assert error_probability(cfg) >= error_probability_exact(cfg)
+        assert error_probability(cfg) >= GeArAdder(cfg).error_probability()
 
 
 class TestAccuracyPercentage:
@@ -152,7 +148,7 @@ class TestAccuracyPercentage:
 
     def test_exact_flag_agrees_with_model(self):
         cfg = GeArConfig(16, 1, 1)
-        assert error_probability_exact(cfg) == pytest.approx(
+        assert GeArAdder(cfg).error_probability() == pytest.approx(
             error_probability(cfg)
         )
 
@@ -164,8 +160,9 @@ class TestErrorDistanceModels:
     ])
     def test_analytic_med_matches_exhaustive(self, n, r, p):
         cfg = GeArConfig(n, r, p, allow_partial=(n - r - p) % r != 0)
-        stats = exhaustive_stats(GeArAdder(cfg))
-        assert mean_error_distance_analytic(cfg) == pytest.approx(
+        adder = GeArAdder(cfg)
+        stats = exhaustive_stats(adder)
+        assert adder.mean_error_distance() == pytest.approx(
             stats.med, rel=1e-9
         )
 
@@ -179,7 +176,7 @@ class TestErrorDistanceModels:
             a = np.repeat(vals[start : start + 512], size)
             b = np.tile(vals, 512)
             worst = max(worst, int(((a + b) - np.asarray(adder.add(a, b))).max()))
-        assert worst == max_error_distance(cfg)
+        assert worst == adder.max_error_distance()
 
     def test_max_error_distance_is_upper_bound_for_k3(self):
         cfg = GeArConfig(8, 2, 2)  # k = 3: wrap cancellation applies
@@ -188,16 +185,19 @@ class TestErrorDistanceModels:
         a = np.repeat(vals, 256)
         b = np.tile(vals, 256)
         worst = int(((a + b) - np.asarray(adder.add(a, b))).max())
-        assert worst <= max_error_distance(cfg)
+        assert worst <= adder.max_error_distance()
         assert worst == 64  # single top-window miss
 
     def test_ned_in_unit_interval(self):
         for p in (1, 2, 4, 6):
-            cfg = GeArConfig(8, 1, p)
-            assert 0.0 <= normalized_error_distance_analytic(cfg) <= 1.0
+            adder = GeArAdder(GeArConfig(8, 1, p))
+            ned = adder.mean_error_distance() / adder.max_error_distance()
+            assert 0.0 <= ned <= 1.0
 
     def test_ned_zero_for_exact(self):
-        assert normalized_error_distance_analytic(GeArConfig(8, 4, 4)) == 0.0
+        adder = GeArAdder(GeArConfig(8, 4, 4))
+        assert adder.mean_error_distance() == 0.0
+        assert adder.max_error_distance() == 0
 
 
 class TestPaperErrorProbability:
@@ -208,7 +208,7 @@ class TestPaperErrorProbability:
         # error_probability() is the exact rate of the actual windows,
         # which the partial-mode paper model bounds from above.
         assert adder.error_probability() == pytest.approx(
-            error_probability_exact(cfg), abs=1e-15)
+            error_probability_windows(adder.spec.windows, cfg.n), abs=1e-15)
         assert adder.error_probability() < paper_error_probability(adder)
 
     def test_aca1_and_gda_carry_their_gear_point(self):

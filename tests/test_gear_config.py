@@ -1,8 +1,10 @@
-"""Unit tests for GeArConfig (§3.1, Eqs. 1-3)."""
+"""Unit tests for GeArConfig (§3.1, Eq. 1) and the GeAr window layout of
+``gear_spec`` (Eqs. 2-3)."""
 
 import pytest
 
 from repro.core.gear import GeArConfig
+from repro.spec.catalog import gear_spec
 
 
 class TestEquationOne:
@@ -48,7 +50,7 @@ class TestEquationOne:
 class TestWindows:
     def test_fig3_windows(self):
         # Fig. 3: GeAr(12,4,4) — sub-adder 1 = [7:0], sub-adder 2 = [11:4]
-        windows = GeArConfig(12, 4, 4).windows()
+        windows = gear_spec(12, 4, 4).windows
         assert len(windows) == 2
         first, second = windows
         assert (first.low, first.high) == (0, 7)
@@ -59,7 +61,7 @@ class TestWindows:
 
     def test_fig4_windows(self):
         # Fig. 4: GeAr(12,2,6) — three 8-bit sub-adders.
-        windows = GeArConfig(12, 2, 6).windows()
+        windows = gear_spec(12, 2, 6).windows
         assert len(windows) == 3
         assert [(w.low, w.high) for w in windows] == [(0, 7), (2, 9), (4, 11)]
         assert [w.result_bits for w in windows] == [8, 2, 2]
@@ -67,22 +69,24 @@ class TestWindows:
     def test_equation_three_general(self):
         # Eq. 3: sub-adder i covers [(R·i)+P-1 : R·(i-1)].
         cfg = GeArConfig(24, 4, 8)
-        for i, w in enumerate(cfg.windows()[1:], start=2):
+        for i, w in enumerate(gear_spec(24, 4, 8).windows[1:], start=2):
             assert w.low == cfg.r * (i - 1)
             assert w.high == cfg.r * i + cfg.p - 1
             assert w.result_low == cfg.r * (i - 1) + cfg.p
 
     def test_partial_last_window_anchored_at_top(self):
         cfg = GeArConfig(20, 3, 7, allow_partial=True)
-        last = cfg.windows()[-1]
+        windows = gear_spec(20, 3, 7, allow_partial=True).windows
+        assert len(windows) == cfg.k
+        last = windows[-1]
         assert last.high == 19
         assert last.length == cfg.L
         # Windows drive all 20 bits exactly once.
-        total = sum(w.result_bits for w in cfg.windows())
+        total = sum(w.result_bits for w in windows)
         assert total == 20
 
     def test_windows_constant_length(self):
-        for w in GeArConfig(32, 4, 4).windows():
+        for w in gear_spec(32, 4, 4).windows:
             assert w.length == 8
 
 

@@ -68,13 +68,11 @@ class TestTable4Analytic:
 class TestTable2Analytic:
     def test_ned_paper_convention_reference_entries(self):
         # MED / 2^(N-R) reproduces the paper's NED for these entries.
-        from repro.core.error_model import mean_error_distance_analytic
-
         matching = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 4)]
         for (r, p) in matching:
             strict = (8 - r - p) % r == 0
             cfg = GeArConfig(8, r, p, allow_partial=not strict)
-            ned = mean_error_distance_analytic(cfg) / 2 ** (8 - r)
+            ned = GeArAdder(cfg).mean_error_distance() / 2 ** (8 - r)
             assert ned == pytest.approx(
                 TABLE2_GEAR[(r, p)]["ned"], abs=2e-4
             ), (r, p)

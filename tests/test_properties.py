@@ -19,8 +19,6 @@ from repro.core.correction import ErrorCorrector
 from repro.core.error_model import (
     error_probability,
     error_probability_brute,
-    error_probability_exact,
-    max_error_distance,
 )
 from repro.core.gear import GeArAdder, GeArConfig
 
@@ -59,8 +57,9 @@ class TestAdderProperties:
     @given(config_and_operands())
     def test_error_bounded(self, cao):
         cfg, a, b = cao
-        err = (a + b) - GeArAdder(cfg).add(a, b)
-        assert 0 <= err <= max_error_distance(cfg)
+        adder = GeArAdder(cfg)
+        err = (a + b) - adder.add(a, b)
+        assert 0 <= err <= adder.max_error_distance()
 
     @given(config_and_operands())
     def test_commutativity(self, cao):
@@ -128,7 +127,7 @@ class TestModelProperties:
     def test_model_at_most_exact_dp(self, cfg):
         # Equal for strict configs, conservative (>=) for partial ones.
         model = error_probability(cfg)
-        exact = error_probability_exact(cfg)
+        exact = GeArAdder(cfg).error_probability()
         assert model >= exact - 1e-12
 
     @given(gear_configs(max_n=12))
@@ -139,7 +138,7 @@ class TestModelProperties:
         a = rng.integers(0, 1 << cfg.n, size=40_000, dtype=np.int64)
         b = rng.integers(0, 1 << cfg.n, size=40_000, dtype=np.int64)
         measured = float(np.mean(np.asarray(adder.add(a, b)) != a + b))
-        expected = error_probability_exact(cfg)
+        expected = adder.error_probability()
         sigma = max((expected * (1 - expected) / 40_000) ** 0.5, 1e-4)
         assert abs(measured - expected) < 6 * sigma
 
@@ -171,11 +170,11 @@ class TestAnalyticProperties:
     def test_med_formula_matches_exhaustive_small(self, cfg):
         if cfg.n > 10:
             return
-        from repro.core.error_model import mean_error_distance_analytic
         from repro.metrics.exhaustive import exhaustive_stats
 
-        stats = exhaustive_stats(GeArAdder(cfg))
-        assert abs(mean_error_distance_analytic(cfg) - stats.med) < 1e-9
+        adder = GeArAdder(cfg)
+        stats = exhaustive_stats(adder)
+        assert abs(adder.mean_error_distance() - stats.med) < 1e-9
 
     @given(gear_configs(max_n=20))
     @settings(max_examples=25)
@@ -183,10 +182,11 @@ class TestAnalyticProperties:
         from repro.core.bitwise_model import BitStatistics
         from repro.core.error_model import error_probability_windows
 
+        adder = GeArAdder(cfg)
         rates = BitStatistics.uniform(cfg.n).rates
         assert abs(
-            error_probability_windows(cfg.windows(), cfg.n, rates=rates)
-            - error_probability_exact(cfg)
+            error_probability_windows(adder.windows, cfg.n, rates=rates)
+            - adder.error_probability()
         ) < 1e-12
 
     @given(gear_configs(max_n=16))

@@ -66,9 +66,7 @@ class TestApproximateSigned:
         signed = SignedAdder(adder)
         a, b = _all_signed_pairs(8)
         rate = float(np.mean(np.asarray(signed.add(a, b)) != a + b))
-        from repro.core.error_model import error_probability_exact
-
-        assert rate == pytest.approx(error_probability_exact(adder.config))
+        assert rate == pytest.approx(adder.error_probability())
 
 
 class TestValidation:

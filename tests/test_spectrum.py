@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.error_model import error_probability_exact, mean_error_distance_analytic
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.metrics.spectrum import ErrorSpectrum, error_spectrum, spectrum_table
 from repro.utils.distributions import SparseOperands
@@ -19,11 +18,11 @@ class TestErrorSpectrum:
         assert sum(spectrum.magnitude_pmf.values()) == pytest.approx(1.0)
 
     def test_error_rate_matches_model(self, spectrum):
-        expected = error_probability_exact(GeArConfig(12, 4, 4))
+        expected = GeArAdder(GeArConfig(12, 4, 4)).error_probability()
         assert spectrum.error_rate == pytest.approx(expected, abs=2e-3)
 
     def test_med_matches_model(self, spectrum):
-        expected = mean_error_distance_analytic(GeArConfig(12, 4, 4))
+        expected = GeArAdder(GeArConfig(12, 4, 4)).mean_error_distance()
         assert spectrum.med == pytest.approx(expected, rel=0.1)
 
     def test_magnitudes_are_power_of_two_combinations(self, spectrum):
