@@ -16,8 +16,11 @@ Commands mirror the paper's artefacts::
     gear serve --workers 4    # always-on evaluation service (docs/serve.md)
     gear client eval '{...}'  # query a running service
 
-Every stochastic subcommand takes ``--samples`` and ``--seed``; every
-subcommand that evaluates through :mod:`repro.engine` additionally takes
+Every stochastic subcommand takes ``--samples`` and ``--seed``.  ``gear
+verify``, ``gear experiment`` and ``gear ablation`` run argv through the
+service's :mod:`repro.serve.protocol` builders, so the CLI and the wire
+share every default and refusal.  Every subcommand that evaluates
+through :mod:`repro.engine` additionally takes
 ``--jobs N`` (process-parallel shard execution), ``--cache [DIR]``
 (memoise completed shards on disk), ``--cache-size MB`` (oldest-first
 pruning cap), ``--no-cache`` and ``--backend
@@ -38,19 +41,19 @@ JSONL for ``gear obs report``.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.analysis.sweep import sweep_gear_configs, sweep_to_json
 from repro.analysis.tables import format_table
 from repro.core.error_model import error_probability
 from repro.core.coverage import classify_config
 from repro.core.gear import GeArAdder, GeArConfig
-
-#: Default root seed for stochastic subcommands (the paper's year).
-DEFAULT_SEED = 2015
+from repro.utils.validation import positive_count, seed_value
 
 
 class CLIError(Exception):
@@ -85,10 +88,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                        "pruned first (this run's shards are never evicted)")
     group.add_argument("--no-cache", action="store_true",
                        help="disable the shard cache even if --cache is given")
-    # Validated against the live registry in _dispatch (not argparse
-    # choices) so plug-in backends registered at import time are
-    # accepted and a typo reports the actual registered names.
-    group.add_argument("--backend", default="sampling", metavar="NAME",
+    # Validated against the live registry in _engine_from_args (not
+    # argparse choices) so plug-in backends registered at import time
+    # are accepted and a typo reports the actual registered names.
+    group.add_argument("--backend", default=None, metavar="NAME",
                        help="evaluation backend: 'sampling' simulates, "
                        "'analytic' solves the exact error PMF, 'compiled' "
                        "samples through the bit-sliced netlist kernel, "
@@ -112,35 +115,51 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                        "to stderr after the command")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: a non-positive value is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, "
-                                         f"got {value}")
-    return value
+def _int_arg(rule: Callable[[int], int]) -> Callable[[str], int]:
+    """argparse type for an integer under a request rule the wire
+    protocol applies too; a refused value is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid int value"
+        try:
+            return rule(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser,
-                        samples_default: Optional[int] = None,
-                        seed_default: Optional[int] = DEFAULT_SEED,
+                        defaults_of: Optional[Callable] = None,
                         samples_help: str = "Monte-Carlo sample count") -> None:
-    parser.add_argument("--samples", type=_positive_int,
-                        default=samples_default,
-                        help=samples_help)
-    seed_note = (f"default: {seed_default}" if seed_default is not None
-                 else "default: experiment-specific")
-    parser.add_argument("--seed", type=int, default=seed_default,
-                        help=f"root RNG seed ({seed_note})")
+    """``--samples``/``--seed``, unset unless given; the help quotes the
+    defaults of ``defaults_of`` (None: each experiment's own)."""
+    params = inspect.signature(defaults_of).parameters if defaults_of else {}
+    samples = getattr(params.get("samples"), "default", None)
+    seed = getattr(params.get("seed"), "default", "experiment-specific")
+    note = f" (default: {samples})" if samples else ""
+    parser.add_argument("--samples", type=_int_arg(positive_count),
+                        help=samples_help + note)
+    parser.add_argument("--seed", type=_int_arg(seed_value),
+                        help=f"root RNG seed (default: {seed})")
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The set flags among ``names``; unset ones take the callee's default."""
+    values = {name: getattr(args, name, None) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _engine_from_args(args: argparse.Namespace):
+    """The flags' engine; an unknown ``--backend`` is a usage error."""
     from repro.engine import Engine, ShardCache
+    from repro.engine.backends import check_backend_name
 
+    if getattr(args, "backend", None) is not None:
+        try:
+            check_backend_name(args.backend)
+        except ValueError as exc:
+            raise CLIError(str(exc)) from None
     cache = None if getattr(args, "no_cache", False) else getattr(args, "cache", None)
     size_mb = getattr(args, "cache_size", None)
     if cache is not None and size_mb is not None:
@@ -156,8 +175,7 @@ def _gear_config(args: argparse.Namespace) -> GeArConfig:
     """The ``n r p`` positionals as a config; partial when R does not
     divide N-R-P.  An invalid triple is a usage error."""
     try:
-        strict = args.r > 0 and (args.n - args.r - args.p) % args.r == 0
-        return GeArConfig(args.n, args.r, args.p, allow_partial=not strict)
+        return GeArConfig.from_triple(args.n, args.r, args.p)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
 
@@ -192,10 +210,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.n,
         r_values=[args.r] if args.r is not None else None,
         with_hardware=not args.no_hardware,
-        samples=args.samples,
-        seed=args.seed,
         engine=engine,
-        backend=getattr(args, "backend", "sampling"),
+        **_given(args, "samples", "seed", "backend"),
     )
     if not results:
         with_r = f" with R={args.r}" if args.r is not None else ""
@@ -247,35 +263,26 @@ def _cmd_verilog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment(name: str, args: argparse.Namespace) -> int:
-    from repro.engine import use_engine
+def _run_experiments(names: List[str], args: argparse.Namespace) -> int:
+    """Run and print experiments through the ``/experiment`` runner."""
     from repro.experiments import EXPERIMENTS
+    from repro.serve import protocol
 
-    spec = EXPERIMENTS[name]
     engine = _engine_from_args(args)
-    with use_engine(engine):
-        result = spec.run(
-            samples=getattr(args, "samples", None),
-            seed=getattr(args, "seed", None),
-            engine=engine,
-            backend=getattr(args, "backend", None),
-        )
-    if getattr(args, "json", False):
-        _print_json(result.to_json())
-    else:
-        print(spec.renderer(result))
+    fields = _given(args, "samples", "seed", "backend")
+    results = [protocol.run_experiment(dict(fields, name=name), engine)
+               for name in names]
+    if args.json:
+        payload = [result.to_json() for result in results]
+        _print_json(payload if len(payload) > 1 else payload[0])
+        return 0
+    print("\n\n".join(EXPERIMENTS[name].renderer(result)
+                      for name, result in zip(names, results)))
     return 0
 
 
-def _cmd_experiment(name: str):
-    def handler(args: argparse.Namespace) -> int:
-        return _run_experiment(name, args)
-
-    return handler
-
-
-def _cmd_experiment_named(args: argparse.Namespace) -> int:
-    return _run_experiment(args.name, args)
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    return _run_experiments([args.name], args)
 
 
 def _cmd_motivation(args: argparse.Namespace) -> int:
@@ -329,7 +336,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
     adder = GeArAdder(_gear_config(args))
     with use_engine(_engine_from_args(args)):
-        spec = error_spectrum(adder, samples=args.samples, seed=args.seed)
+        spec = error_spectrum(adder, **_given(args, "samples", "seed"))
     print(spectrum_table(spec))
     print("\nper-window miss rates and error mass:")
     for i, (rate, mass) in enumerate(
@@ -371,9 +378,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{rule.id:20s} {rule.severity.label:8s} {rule.description}")
         return 0
     if args.target is None:
-        print("error: a lint target is required (builder name, 'all', or a "
-              ".v file)", file=sys.stderr)
-        return 2
+        raise CLIError("a lint target is required (builder name, 'all', or "
+                       "a .v file)")
 
     fail_on = (None if args.fail_on == "never"
                else Severity.from_label(args.fail_on))
@@ -382,25 +388,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rid in suppress:
             get_rule(rid)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CLIError(str(exc)) from None
 
     # Resolve targets to (label, netlist) pairs.
     try:
         if args.target == "all":
             if args.params:
-                print("error: 'all' takes no parameters", file=sys.stderr)
-                return 2
+                raise CLIError("'all' takes no parameters")
             targets = list(builder_matrix())
         elif args.target.endswith(".v") or Path(args.target).is_file():
             if args.params:
-                print("error: file targets take no parameters", file=sys.stderr)
-                return 2
+                raise CLIError("file targets take no parameters")
             try:
                 source = Path(args.target).read_text()
             except OSError as exc:
-                print(f"error: cannot read {args.target}: {exc}", file=sys.stderr)
-                return 2
+                raise CLIError(f"cannot read {args.target}: {exc}") from None
             targets = [(args.target, lint_verilog(source, suppress=suppress))]
         else:
             from repro.rtl.builders import build_named
@@ -408,11 +410,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             targets = [(" ".join([args.target, *map(str, args.params)]),
                         build_named(args.target, *args.params))]
     except VerilogSyntaxError as exc:
-        print(f"error: {args.target}: {exc}", file=sys.stderr)
-        return 2
+        raise CLIError(f"{args.target}: {exc}") from None
     except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CLIError(str(exc)) from None
 
     from repro.rtl.netlist import Netlist
     from repro.rtl.opt import optimize
@@ -446,40 +446,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.verify import (
-        LAYERS,
-        VerifyOptions,
-        default_registry,
-        summarize,
-        verify_registry,
-    )
+    from repro.serve import protocol
+    from repro.verify import default_registry, summarize, verify_registry
 
     if args.list_adders:
         for key, entry in default_registry().items():
             print(f"{key:14s} {entry.kind:18s} {entry.description}")
         return 0
 
-    try:
-        options = VerifyOptions(
-            width=args.width,
-            layers=tuple(args.layer) if args.layer else LAYERS,
-            seed=args.seed if args.seed is not None else DEFAULT_SEED,
-            samples=args.samples if args.samples else 50_000,
-            backend=getattr(args, "backend", "sampling"),
-        )
-        reports = verify_registry(
-            adders=args.adder or None,
-            options=options,
-            engine=_engine_from_args(args),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not reports:
-        print(f"error: no registered adder supports width {args.width}",
-              file=sys.stderr)
-        return 2
-
+    adders, options = protocol.build_verify_options(_given(
+        args, "adders", "layers", "width", "samples", "seed", "backend"))
+    reports = verify_registry(adders=adders, options=options,
+                              engine=_engine_from_args(args))
     if args.json:
         _print_json([report.to_json() for report in reports])
     else:
@@ -523,8 +501,7 @@ def _cmd_spec(args: argparse.Namespace) -> int:
         try:
             spec = catalog_spec(args.key, args.width)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise CLIError(str(exc)) from None
         if args.json:
             _print_json(spec.to_dict())
             return 0
@@ -562,23 +539,14 @@ def _cmd_spec(args: argparse.Namespace) -> int:
     from repro.rtl.lint import Severity, lint_netlist
 
     specs = []
-    if args.key == "all":
-        for key in SPEC_CATALOG:
+    if args.key == "all" or args.key in SPEC_CATALOG:
+        for key in SPEC_CATALOG if args.key == "all" else [args.key]:
             family = SPEC_CATALOG[key]
             width = max(args.width, family.min_width)
             try:
                 specs.append((f"{key} w={width}", family(width)))
             except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    elif args.key in SPEC_CATALOG:
-        family = SPEC_CATALOG[args.key]
-        width = max(args.width, family.min_width)
-        try:
-            specs.append((f"{args.key} w={width}", family(width)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+                raise CLIError(str(exc)) from None
     elif args.key.endswith(".json") or os.path.sep in args.key \
             or os.path.exists(args.key):
         from repro.spec.ir import AdderSpec
@@ -586,18 +554,13 @@ def _cmd_spec(args: argparse.Namespace) -> int:
         try:
             with open(args.key, "r", encoding="utf-8") as handle:
                 spec = AdderSpec.from_json(handle.read())
-        except OSError as exc:
-            print(f"{args.key}: error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"{args.key}: error: {exc}", file=sys.stderr)
             return 2
         specs.append((f"{args.key} ({spec.name})", spec))
     else:
-        print(f"error: unknown spec family {args.key!r} (and no such "
-              f"file); known: {', '.join(sorted(SPEC_CATALOG))}",
-              file=sys.stderr)
-        return 2
+        raise CLIError(f"unknown spec family {args.key!r} (and no such "
+                       f"file); known: {', '.join(sorted(SPEC_CATALOG))}")
 
     failed = False
     for label, spec in specs:
@@ -609,34 +572,13 @@ def _cmd_spec(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    from repro.engine import use_engine
-    from repro.experiments import EXPERIMENTS
-
-    engine = _engine_from_args(args)
-    results = []
-    with use_engine(engine):
-        for name in ("ablation-distributions", "ablation-correction"):
-            spec = EXPERIMENTS[name]
-            results.append(
-                (spec, spec.run(samples=args.samples, seed=args.seed,
-                                engine=engine))
-            )
-    if args.json:
-        _print_json([result.to_json() for _, result in results])
-        return 0
-    print("\n\n".join(spec.renderer(result) for spec, result in results))
-    return 0
-
-
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs import read_trace, render_report, report_to_json
 
     try:
         data = read_trace(args.trace_file)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CLIError(str(exc)) from None
     if args.json:
         _print_json(report_to_json(data.frame))
         return 0
@@ -788,14 +730,14 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=_cmd_info)
 
     sweep = sub.add_parser("sweep", help="sweep the design space of width N")
-    sweep.add_argument("n", type=_positive_int)
-    sweep.add_argument("--r", type=_positive_int, default=None)
+    sweep.add_argument("n", type=_int_arg(positive_count))
+    sweep.add_argument("--r", type=_int_arg(positive_count))
     sweep.add_argument("--no-hardware", action="store_true",
                        help="skip netlist characterisation (faster)")
     sweep.add_argument("--json", action="store_true",
                        help="deterministic JSON output (identical at any --jobs)")
     _add_sampling_flags(
-        sweep,
+        sweep, sweep_gear_configs,
         samples_help="also measure each configuration by Monte-Carlo "
         "through the engine",
     )
@@ -811,13 +753,16 @@ def build_parser() -> argparse.ArgumentParser:
     verilog.set_defaults(func=_cmd_verilog)
 
     from repro.experiments import EXPERIMENTS
+    from repro.metrics.spectrum import error_spectrum
+    from repro.utils.distributions import INT64_OPERAND_BITS
+    from repro.verify import LAYERS, VerifyOptions
 
     def _add_experiment_flags(cmd: argparse.ArgumentParser, spec) -> None:
         cmd.add_argument("--json", action="store_true",
                          help="unified to_json() output "
                          "(identical at any --jobs)")
         if "samples" in spec.accepts:
-            _add_sampling_flags(cmd, seed_default=None)
+            _add_sampling_flags(cmd)
         _add_engine_flags(cmd)
 
     for name, help_text in [
@@ -832,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         cmd = sub.add_parser(name, help=help_text)
         _add_experiment_flags(cmd, EXPERIMENTS[name])
-        cmd.set_defaults(func=_cmd_experiment(name))
+        cmd.set_defaults(func=functools.partial(_run_experiments, [name]))
 
     experiment = sub.add_parser(
         "experiment",
@@ -846,9 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--json", action="store_true",
                             help="unified to_json() output "
                             "(identical at any --jobs)")
-    _add_sampling_flags(experiment, seed_default=None)
+    _add_sampling_flags(experiment)
     _add_engine_flags(experiment)
-    experiment.set_defaults(func=_cmd_experiment_named)
+    experiment.set_defaults(func=_cmd_experiment)
 
     lint = sub.add_parser(
         "lint",
@@ -883,22 +828,23 @@ def build_parser() -> argparse.ArgumentParser:
         "compiled-kernel and vector layers.  Exits 1 when any layer "
         "disagrees; mismatches are reported with a shrunk counterexample.",
     )
-    verify.add_argument("--adder", action="append", metavar="NAME",
-                        help="registry key to verify (repeatable; "
-                        "default: the full registry)")
-    verify.add_argument("--layer", action="append",
-                        choices=["behavioural", "verilog", "stats",
-                                 "analytic", "compiled", "vector"],
+    verify.add_argument("--adder", dest="adders", action="append",
+                        metavar="NAME", help="registry key to verify "
+                        "(repeatable; default: the full registry)")
+    verify.add_argument("--layer", action="append", dest="layers",
+                        choices=LAYERS,
                         help="layer to run (repeatable; default: all six)")
-    verify.add_argument("--width", type=int, default=8, metavar="N",
-                        help="operand width to verify at (default: 8, "
-                        "exhaustive for the behavioural layer)")
+    verify.add_argument("--width", type=int, metavar="N",
+                        help="operand width to verify at (default: "
+                        f"{VerifyOptions.width}, exhaustive for the "
+                        f"behavioural layer; at most {INT64_OPERAND_BITS})")
     verify.add_argument("--json", action="store_true",
                         help="machine-readable ConformanceReport list")
     verify.add_argument("--list-adders", action="store_true",
                         help="list conformance registry entries and exit")
-    _add_sampling_flags(verify, samples_help="Monte-Carlo sample count for "
-                        "the stats layer at widths beyond the exhaustive cap")
+    _add_sampling_flags(verify, VerifyOptions,
+                        samples_help="Monte-Carlo sample count for the stats "
+                        "layer at widths beyond the exhaustive cap")
     _add_engine_flags(verify)
     verify.set_defaults(func=_cmd_verify)
 
@@ -937,9 +883,10 @@ def build_parser() -> argparse.ArgumentParser:
     ablation = sub.add_parser("ablation", help="run both ablation studies")
     ablation.add_argument("--json", action="store_true",
                           help="unified to_json() output for both studies")
-    _add_sampling_flags(ablation, seed_default=None)
+    _add_sampling_flags(ablation)
     _add_engine_flags(ablation)
-    ablation.set_defaults(func=_cmd_ablation)
+    ablation.set_defaults(func=functools.partial(
+        _run_experiments, ["ablation-distributions", "ablation-correction"]))
 
     motivation = sub.add_parser(
         "motivation", help="carry-chain statistics behind the paper's premise"
@@ -963,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("n", type=int)
     spectrum.add_argument("r", type=int)
     spectrum.add_argument("p", type=int)
-    _add_sampling_flags(spectrum, samples_default=100_000)
+    _add_sampling_flags(spectrum, error_spectrum)
     _add_engine_flags(spectrum)
     spectrum.set_defaults(func=_cmd_spectrum)
 
@@ -1034,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max wait for in-flight requests on shutdown "
                        "(default: 30)")
     _add_engine_flags(serve)
-    serve.set_defaults(func=_cmd_serve, backend=None)
+    serve.set_defaults(func=_cmd_serve)
 
     client = sub.add_parser(
         "client",
@@ -1094,24 +1041,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_backend(args: argparse.Namespace) -> None:
-    """Reject an unknown ``--backend`` before any work starts."""
-    name = getattr(args, "backend", None)
-    if name is None or name == "auto":
-        return
-    from repro.engine.backends import BACKENDS
-
-    if name not in BACKENDS:
-        registered = ", ".join(sorted(BACKENDS) + ["auto"])
-        raise CLIError(f"unknown backend {name!r}; registered backends: "
-                       f"{registered}")
-
-
 def _dispatch(args: argparse.Namespace) -> int:
+    from repro.serve.protocol import ProtocolError
+
     try:
-        _validate_backend(args)
         return args.func(args)
-    except CLIError as exc:
+    except (CLIError, ProtocolError) as exc:  # a refused wire body too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # e.g. `gear spectrum ... | head`

@@ -89,6 +89,12 @@ class GeArConfig:
         return f"GeAr(N={self.n}, R={self.r}, P={self.p}), L={self.L}, k={self.k}"
 
     @classmethod
+    def from_triple(cls, n: int, r: int, p: int) -> "GeArConfig":
+        """The (N, R, P) a user names; partial when R does not divide N-L."""
+        strict = r > 0 and (n - r - p) % r == 0
+        return cls(n, r, p, allow_partial=not strict)
+
+    @classmethod
     def from_sub_adder_length(cls, n: int, r: int, sub_adder_len: int,
                               allow_partial: bool = False) -> "GeArConfig":
         """Build a config from (N, R, L) instead of (N, R, P)."""

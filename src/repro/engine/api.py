@@ -99,7 +99,7 @@ class EvalRequest:
 
     adder: "AdderModel"
     mode: str = "monte_carlo"
-    samples: Optional[int] = None
+    samples: Optional[int] = 10_000
     seed: Optional[int] = 2015
     distribution: Optional["OperandDistribution"] = None
     maa_thresholds: Tuple[float, ...] = TABLE1_MAA_THRESHOLDS

@@ -233,12 +233,13 @@ register_backend(AnalyticBackend())
 register_backend(CompiledBackend())
 
 
-def check_backend_name(name: str) -> None:
-    """Raise :class:`ValueError` unless ``name`` is registered or ``auto``."""
+def check_backend_name(name: str) -> str:
+    """``name``; a :class:`ValueError` unless it is registered or ``auto``."""
     if name != api.AUTO_BACKEND and name not in BACKENDS:
-        known = (*sorted(BACKENDS), api.AUTO_BACKEND)
+        known = ", ".join((*sorted(BACKENDS), api.AUTO_BACKEND))
         raise ValueError(
-            f"unknown backend {name!r}; expected one of {known}")
+            f"unknown backend {name!r}; registered backends: {known}")
+    return name
 
 
 def resolve_backend(request: "EvalRequest") -> Backend:

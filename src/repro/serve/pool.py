@@ -66,26 +66,18 @@ def _engine():
 
 
 def _run_eval(wire: Dict) -> Dict:
-    request = protocol.build_request(wire)
-    return _engine().evaluate(request).to_json()
+    return protocol.offline_eval_payload(wire, _engine())
 
 
 def _run_verify(wire: Dict) -> Dict:
     from repro.verify.runner import verify_payload
 
-    adders, options = protocol.build_verify_options(wire)
-    return verify_payload(adders, options=options, engine=_engine())
+    return verify_payload(*protocol.build_verify_options(wire),
+                          engine=_engine())
 
 
 def _run_experiment(wire: Dict) -> Dict:
-    from repro.engine import use_engine
-    from repro.experiments import EXPERIMENTS
-
-    name, kwargs = protocol.build_experiment(wire)
-    engine = _engine()
-    with use_engine(engine):
-        result = EXPERIMENTS[name].run(engine=engine, **kwargs)
-    return result.to_json()
+    return protocol.run_experiment(wire, _engine()).to_json()
 
 
 _HANDLERS = {

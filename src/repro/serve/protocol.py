@@ -33,6 +33,9 @@ the daemon maps to HTTP 400 with an ``{"error": ...}`` body.  An adder
 wider than :data:`MAX_WIDTH` is one: references are resolved on the
 daemon's event loop, and building a model costs time linear in its
 width.
+
+``gear verify`` and ``gear experiment`` call the same builders on argv,
+so the CLI and the wire share every default and every refusal.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ import functools
 import hashlib
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine import api
 from repro.spec.ir import _int_field
+from repro.utils.validation import positive_count, seed_value
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -58,6 +62,7 @@ __all__ = [
     "eval_coalesce_key",
     "offline_eval_payload",
     "resolve_adder",
+    "run_experiment",
     "wire_coalesce_key",
 ]
 
@@ -88,15 +93,23 @@ def canonical_bytes(payload: Any) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _integer_field(wire: Dict, key: str, default: Optional[int]) -> int:
+def _integer_field(wire: Dict, key: str, default: Optional[int],
+                   rule: Optional[Callable[[int], int]] = None) -> int:
     """An integer wire field under the spec IR's one integer rule
     (:func:`repro.spec.ir._int_field`): a bool or a non-integral number
-    is a 400, an integral float such as ``6.0`` reads as 6.
+    is a 400, an integral float such as ``6.0`` reads as 6.  ``rule`` is
+    a count or seed rule the CLI's argparse types apply too.
     """
     try:
-        return _int_field(wire, key, default)
+        value = _int_field(wire, key, default)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
+    if rule is not None:
+        try:
+            rule(value)
+        except ValueError as exc:
+            raise ProtocolError(f"field {key!r} {exc}") from None
+    return value
 
 
 def _width_field(wire: Dict, key: str, default: Optional[int]) -> int:
@@ -106,6 +119,30 @@ def _width_field(wire: Dict, key: str, default: Optional[int]) -> int:
         raise ProtocolError(f"{key!r} must be at most {MAX_WIDTH}, "
                             f"got {width}")
     return width
+
+
+def _backend_field(wire: Dict, key: str) -> str:
+    from repro.engine.backends import check_backend_name
+
+    try:
+        return check_backend_name(str(wire[key]))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
+#: The one reading of each optional request field; a field left out takes
+#: the default of the ``EvalRequest``, ``VerifyOptions`` or ``run`` built.
+_FIELDS: Dict[str, Callable[[Dict, str], Any]] = {
+    "width": lambda wire, key: _width_field(wire, key, None),
+    "samples": lambda wire, key: _integer_field(wire, key, None,
+                                                positive_count),
+    "seed": lambda wire, key: _integer_field(wire, key, None, seed_value),
+    "backend": _backend_field,
+}
+
+
+def _given_fields(wire: Dict, *keys: str) -> Dict[str, Any]:
+    return {key: _FIELDS[key](wire, key) for key in keys if key in wire}
 
 
 # -- adder references --------------------------------------------------------
@@ -121,8 +158,7 @@ def _family_adder(key: str, width: int):
 def _gear_adder(n: int, r: int, p: int):
     from repro.core.gear import GeArAdder, GeArConfig
 
-    strict = r > 0 and (n - r - p) % r == 0
-    return GeArAdder(GeArConfig(n, r, p, allow_partial=not strict))
+    return GeArAdder(GeArConfig.from_triple(n, r, p))
 
 
 @functools.lru_cache(maxsize=512)
@@ -200,18 +236,15 @@ def build_request(wire: Dict) -> "api.EvalRequest":
     if mode not in WIRE_MODES:
         raise ProtocolError(f"unknown mode {mode!r}; the wire protocol "
                             f"supports {WIRE_MODES}")
-    kwargs: Dict[str, Any] = {
-        "adder": adder,
-        "mode": mode,
-        "backend": str(wire.get("backend", "sampling")),
-    }
+    kwargs = dict(_given_fields(wire, "backend"), adder=adder, mode=mode)
     if "thresholds" in wire:
         kwargs["maa_thresholds"] = _thresholds_field(wire["thresholds"])
     if mode == "monte_carlo":
-        kwargs["samples"] = _integer_field(wire, "samples", 10_000)
+        kwargs.update(_given_fields(wire, "samples"))
         # An explicit null seed asks for an unseeded draw.
-        kwargs["seed"] = (None if wire.get("seed", 2015) is None
-                          else _integer_field(wire, "seed", 2015))
+        if "seed" in wire:
+            kwargs["seed"] = (None if wire["seed"] is None
+                              else _FIELDS["seed"](wire, "seed"))
     try:
         return api.EvalRequest(**kwargs)
     except ValueError as exc:
@@ -236,7 +269,7 @@ def eval_coalesce_key(request: "api.EvalRequest") -> Optional[str]:
 
 
 def offline_eval_payload(wire: Dict, engine=None) -> Dict:
-    """Evaluate an ``/eval`` wire body locally — the daemon's oracle.
+    """Evaluate an ``/eval`` wire body: the worker's runner and the oracle.
 
     ``canonical_bytes(offline_eval_payload(wire))`` is byte-identical to
     the daemon's response body for the same wire request at any
@@ -257,7 +290,8 @@ def build_verify_options(wire: Dict) -> Tuple[Optional[List[str]], object]:
     layers ran, is refused here: an empty ``adders`` list, named adders
     none of which is defined at ``width``, ``layers`` that is not a
     non-empty list of distinct layer names, an unknown ``backend``, and
-    a bool or non-integral ``width``/``seed``/``samples``.
+    a ``width``/``seed``/``samples`` outside its rule (a bool, a fraction,
+    a width above 62, a negative seed, a sample count below 1).
     """
     from repro.verify import LAYERS, VerifyOptions, default_registry
 
@@ -273,20 +307,17 @@ def build_verify_options(wire: Dict) -> Tuple[Optional[List[str]], object]:
         if unknown:
             raise ProtocolError(f"unknown adders {unknown}; known: "
                                 f"{', '.join(sorted(registry))}")
-    layers = wire.get("layers", list(LAYERS))
-    if (not isinstance(layers, list) or not layers
-            or not all(isinstance(layer, str) for layer in layers)
-            or len(set(layers)) != len(layers)):
-        raise ProtocolError(f"'layers' must be a non-empty list of distinct "
-                            f"layer names from {list(LAYERS)}")
+    fields = _given_fields(wire, "width", "seed", "samples", "backend")
+    if "layers" in wire:
+        layers = wire["layers"]
+        if (not isinstance(layers, list) or not layers
+                or not all(isinstance(layer, str) for layer in layers)
+                or len(set(layers)) != len(layers)):
+            raise ProtocolError(f"'layers' must be a non-empty list of "
+                                f"distinct layer names from {list(LAYERS)}")
+        fields["layers"] = tuple(layers)
     try:
-        options = VerifyOptions(
-            width=_width_field(wire, "width", DEFAULT_WIDTH),
-            layers=tuple(layers),
-            seed=_integer_field(wire, "seed", 2015),
-            samples=_integer_field(wire, "samples", 50_000),
-            backend=str(wire.get("backend", "sampling")),
-        )
+        options = VerifyOptions(**fields)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(str(exc)) from exc
     if adders is not None and not any(
@@ -299,7 +330,8 @@ def build_verify_options(wire: Dict) -> Tuple[Optional[List[str]], object]:
 # -- /experiment -------------------------------------------------------------
 
 def build_experiment(wire: Dict) -> Tuple[str, Dict]:
-    """Turn an ``/experiment`` wire body into ``(name, run kwargs)``."""
+    """Turn an ``/experiment`` wire body into ``(name, run kwargs)``;
+    a null field counts as absent."""
     from repro.experiments import EXPERIMENTS
 
     _check_keys(wire, _EXPERIMENT_KEYS, "experiment")
@@ -307,13 +339,19 @@ def build_experiment(wire: Dict) -> Tuple[str, Dict]:
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ProtocolError(f"unknown experiment {name!r}; registered: "
                             f"{', '.join(sorted(EXPERIMENTS))}")
-    kwargs: Dict[str, Any] = {}
-    for key in ("samples", "seed"):
-        if wire.get(key) is not None:
-            kwargs[key] = _integer_field(wire, key, None)
-    if wire.get("backend") is not None:
-        kwargs["backend"] = str(wire["backend"])
-    return str(name), kwargs
+    given = {key: value for key, value in wire.items() if value is not None}
+    return name, _given_fields(given, "samples", "seed", "backend")
+
+
+def run_experiment(wire: Dict, engine):
+    """Run an ``/experiment`` wire body: the one experiment runner,
+    whose result the CLI renders and the daemon encodes."""
+    from repro.engine import use_engine
+    from repro.experiments import EXPERIMENTS
+
+    name, kwargs = build_experiment(wire)
+    with use_engine(engine):
+        return EXPERIMENTS[name].run(engine=engine, **kwargs)
 
 
 # -- generic coalescing ------------------------------------------------------

@@ -16,6 +16,9 @@ import numpy as np
 from repro.utils.bitvec import mask
 from repro.utils.validation import check_pos_int
 
+#: Widest operands whose sum fits an int64 (sampling, ``gear verify``).
+INT64_OPERAND_BITS = 62
+
 
 class OperandDistribution(abc.ABC):
     """A source of operand pairs ``(a, b)`` for an ``N``-bit addition."""
@@ -69,6 +72,13 @@ class OperandDistribution(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(width={self.width})"
 
+    def _check_int64_sums(self) -> None:
+        if self.width > INT64_OPERAND_BITS:
+            raise ValueError(
+                f"{type(self).__name__} samples at most {INT64_OPERAND_BITS}"
+                f"-bit operands (their sums must fit int64), got width "
+                f"{self.width}")
+
 
 class UniformOperands(OperandDistribution):
     """Independent uniform operands — the paper's evaluation setting (§4.4).
@@ -78,10 +88,7 @@ class UniformOperands(OperandDistribution):
     """
 
     def sample(self, count: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-        if self.width > 62:
-            raise ValueError(
-                "UniformOperands samples at most 62-bit operands (their sums "
-                f"must fit int64), got width {self.width}")
+        self._check_int64_sums()
         high = 1 << self.width
         a = rng.integers(0, high, size=count, dtype=np.int64)
         b = rng.integers(0, high, size=count, dtype=np.int64)
@@ -162,10 +169,7 @@ class SparseOperands(OperandDistribution):
         self.one_density = one_density
 
     def sample(self, count: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-        if self.width > 62:
-            raise ValueError(
-                "SparseOperands samples at most 62-bit operands (their sums "
-                f"must fit int64), got width {self.width}")
+        self._check_int64_sums()
         nbytes = (self.width + 7) // 8
 
         def draw() -> np.ndarray:

@@ -29,6 +29,20 @@ def check_nonneg_int(name: str, value: int) -> int:
     return value
 
 
+def positive_count(value: int) -> int:
+    """The request count rule; CLI and wire each prefix the field name."""
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
+def seed_value(value: int) -> int:
+    """The request seed rule: NumPy seeds only from non-negative integers."""
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def check_in_range(name: str, value: Number, low: Number, high: Number) -> Number:
     """Require ``low <= value <= high``."""
     if not low <= value <= high:

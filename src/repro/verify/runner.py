@@ -20,6 +20,7 @@ from typing import Iterable, List, Optional, Sequence
 from repro import obs
 from repro.engine import fingerprint_adder
 from repro.engine.backends import check_backend_name
+from repro.utils.distributions import INT64_OPERAND_BITS
 from repro.verify.oracles import (
     ANALYTIC_EXHAUSTIVE_WIDTH,
     MAX_SCALAR_PROBES,
@@ -62,6 +63,10 @@ class VerifyOptions:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
+        if self.width > INT64_OPERAND_BITS:
+            raise ValueError(f"width must be at most {INT64_OPERAND_BITS}: "
+                             "verify operands and their sums are int64, "
+                             f"got {self.width}")
         unknown = [layer for layer in self.layers if layer not in LAYERS]
         if unknown:
             raise ValueError(

@@ -108,6 +108,10 @@ class TestCommands:
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "12", "--r", "0"], "argument --r: must be a positive"),
         (["sweep", "0", "--no-hardware"], "argument n: must be a positive"),
+        (["sweep", "12", "--r", "4", "--no-hardware", "--samples", "100",
+          "--seed", "-1"], "argument --seed: must be a non-negative integer"),
+        (["table3", "--seed", "-1", "--samples", "100"],
+         "argument --seed: must be a non-negative integer"),
     ])
     def test_sweep_non_positive_n_or_r_is_usage_error(self, capsys, argv,
                                                       message):

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cli import main
 from repro.serve import (
     ServeClient,
     ServeDaemon,
@@ -107,10 +108,15 @@ def test_verify_width_true_is_400_not_an_empty_ok(client):
     assert "'width' must be an integer" in excinfo.value.message
 
 
-def test_experiment_endpoint(client):
-    payload = client.experiment({"name": "table3", "samples": 2000,
-                                 "seed": 3})
-    assert payload  # unified to_json document
+def test_experiment_endpoint(client, capsys):
+    # The CLI and the daemon run one experiment runner: the served body
+    # is byte for byte what `gear experiment ... --json` prints.
+    status, served = client.request_raw(
+        "POST", "/experiment", {"name": "table3", "samples": 2000, "seed": 3})
+    assert status == 200
+    assert main(["experiment", "table3", "--samples", "2000", "--seed", "3",
+                 "--json"]) == 0
+    assert served == capsys.readouterr().out.encode()
 
 
 @pytest.mark.parametrize("wire,fragment", [

@@ -178,15 +178,15 @@ def test_bad_request_is_not_remembered(client):
 
 
 def test_worker_400_is_not_remembered(client):
-    # The body parses on the event loop; the experiment refuses the
-    # sample count in the worker, which the daemon answers with 400.
-    wire = {"name": "table3", "samples": -5}
-    computed = _counter(client, "serve.experiment.computed")
+    # The body parses on the event loop; the worker's sampler refuses
+    # 64-bit operands, which the daemon answers with 400.
+    wire = {"adder": {"family": "rca", "width": 64}, "samples": 200}
+    computed = _counter(client, "serve.eval.computed")
     for _ in range(2):
         with pytest.raises(ServeError) as excinfo:
-            client.experiment(wire)
+            client.eval(wire)
         assert excinfo.value.status == 400
-    assert _counter(client, "serve.experiment.computed") == computed + 2
+    assert _counter(client, "serve.eval.computed") == computed + 2
 
 
 def test_worker_failure_is_not_remembered(client, monkeypatch):
@@ -308,7 +308,9 @@ def test_differently_spelled_body_is_remembered_by_identity(daemon, client,
 @pytest.mark.parametrize("endpoint,wire,status", [
     ("eval", dict(EVAL_WIRE, seed=None), 200),  # unseeded: no identity
     ("eval", {"adder": "gear_r2p2", "samples": True}, 400),
-    ("experiment", {"name": "table3", "samples": -7}, 400),  # worker 400
+    ("experiment", {"name": "table3", "samples": -7}, 400),
+    ("eval", {"adder": {"family": "rca", "width": 64}, "samples": 200},
+     400),  # worker 400
 ])
 def test_never_answered_from_the_byte_index(client, endpoint, wire, status):
     before = client.stats()["server"]["memo"]

@@ -132,6 +132,10 @@ def test_build_request_full_body():
     ({"adder": "gear_r2p2", "bogus": 1}, "bogus"),
     ([], "object"),
     ({"adder": "gear_r2p2", "thresholds": "x"}, "thresholds"),
+    ({"adder": "gear_r2p2", "seed": -1},
+     "'seed' must be a non-negative integer, got -1"),
+    ({"adder": "gear_r2p2", "samples": 0},
+     "'samples' must be a positive integer, got 0"),
 ])
 def test_build_request_rejects_malformed(wire, fragment):
     with pytest.raises(ProtocolError, match=fragment):
@@ -279,6 +283,11 @@ def test_build_verify_options_defaults_and_validation():
     ({"adders": ["etaii_l4"], "width": 7}, "no registered adder supports"),
     ({"width": 0}, "width must be >= 1"),
     ({"width": 10 ** 9}, "'width' must be at most 256"),
+    ({"width": 63, "layers": ["vector"]}, "width must be at most 62"),
+    ({"width": 64}, "width must be at most 62"),
+    ({"samples": -1}, "'samples' must be a positive integer, got -1"),
+    ({"samples": 0}, "'samples' must be a positive integer, got 0"),
+    ({"seed": -1}, "'seed' must be a non-negative integer, got -1"),
 ])
 def test_build_verify_options_rejects_at_parse_time(wire, fragment):
     with pytest.raises(ProtocolError, match=fragment):
@@ -314,6 +323,11 @@ def test_build_experiment_validates_name():
 @pytest.mark.parametrize("wire,fragment", [
     ({"name": "table3", "samples": True}, "'samples' must be an integer"),
     ({"name": "table3", "seed": 1.5}, "'seed' must be an integer"),
+    ({"name": "table3", "samples": 0},
+     "'samples' must be a positive integer, got 0"),
+    ({"name": "table3", "seed": -1},
+     "'seed' must be a non-negative integer, got -1"),
+    ({"name": "sweep", "backend": "typo"}, "unknown backend 'typo'"),
 ])
 def test_build_experiment_refuses_bools_and_fractions(wire, fragment):
     with pytest.raises(ProtocolError, match=fragment):
