@@ -5,7 +5,8 @@ package substitutes that flow with a pure-Python equivalent:
 
 * :mod:`repro.rtl.gates` / :mod:`repro.rtl.netlist` — gate primitives and a
   netlist graph with named buses,
-* :mod:`repro.rtl.sim` — vectorised functional simulation,
+* :mod:`repro.rtl.sim` — vectorised functional simulation (bool lanes per
+  net, or bit-packed lanes for output buses),
 * :mod:`repro.rtl.compile` — compiled bit-sliced simulation kernels
   (64 vectors per ``uint64`` word; see ``docs/compile.md``),
 * :mod:`repro.rtl.sta` — static timing analysis (critical path),
@@ -21,7 +22,7 @@ package substitutes that flow with a pure-Python equivalent:
 
 from repro.rtl.gates import Op, Gate, GATE_ARITY
 from repro.rtl.netlist import Netlist
-from repro.rtl.sim import simulate, simulate_bus
+from repro.rtl.sim import simulate, simulate_bus, simulate_buses
 from repro.rtl.compile import CompiledKernel, compile_netlist, compiled_kernel
 from repro.rtl.sta import DelayModel, UnitDelayModel, FpgaDelayModel, critical_path_delay, arrival_times
 from repro.rtl.area import estimate_luts
@@ -42,6 +43,7 @@ __all__ = [
     "Netlist",
     "simulate",
     "simulate_bus",
+    "simulate_buses",
     "CompiledKernel",
     "compile_netlist",
     "compiled_kernel",

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.rtl.netlist import Netlist
-from repro.rtl.sim import simulate_bus
+from repro.rtl.sim import simulate_buses
 from repro.utils.bitvec import mask
 
 
@@ -82,10 +82,10 @@ def check_equivalence(
     buses = sorted(inputs)
 
     def compare(stimulus: Dict[str, np.ndarray]) -> Optional[Tuple[str, int]]:
+        l_outs = simulate_buses(left, stimulus, shared)
+        r_outs = simulate_buses(right, stimulus, shared)
         for bus in shared:
-            l_out = simulate_bus(left, stimulus, bus)
-            r_out = simulate_bus(right, stimulus, bus)
-            bad = np.nonzero(l_out != r_out)[0]
+            bad = np.nonzero(l_outs[bus] != r_outs[bus])[0]
             if bad.size:
                 return bus, int(bad[0])
         return None

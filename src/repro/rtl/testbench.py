@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.rtl.netlist import Netlist
-from repro.rtl.sim import simulate_bus
+from repro.rtl.sim import simulate_buses
 from repro.utils.bitvec import mask
 from repro.utils.validation import check_pos_int
 
@@ -66,9 +66,11 @@ def generate_testbench(
 
     a_arr = np.array(a_vals, dtype=np.int64)
     b_arr = np.array(b_vals, dtype=np.int64)
-    expected: List[Tuple[str, int, np.ndarray]] = []
-    for bus, nets in sorted(netlist.output_buses.items()):
-        expected.append((bus, len(nets), simulate_bus(netlist, {"A": a_arr, "B": b_arr}, bus)))
+    outputs = simulate_buses(netlist, {"A": a_arr, "B": b_arr})
+    expected: List[Tuple[str, int, np.ndarray]] = [
+        (bus, len(nets), outputs[bus])
+        for bus, nets in sorted(netlist.output_buses.items())
+    ]
 
     name = tb_name or f"{netlist.name}_tb"
     total = len(a_vals)

@@ -48,6 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine import api
 from repro.spec.ir import _int_field
+from repro.utils.distributions import UniformOperands
 from repro.utils.validation import positive_count, seed_value
 
 __all__ = [
@@ -78,6 +79,11 @@ MAX_WIDTH = 256
 
 #: Evaluation modes that have a wire form.
 WIRE_MODES = ("monte_carlo", "exhaustive")
+
+#: Backends that answer a Monte-Carlo request by drawing uniform int64
+#: operands, so they share the sampler's width rule.  ``auto`` is not one:
+#: it answers a wide adder analytically where it can.
+_SAMPLED_BACKENDS = ("sampling", "compiled")
 
 _EVAL_KEYS = {"adder", "mode", "samples", "seed", "backend", "thresholds"}
 _VERIFY_KEYS = {"adders", "width", "layers", "samples", "seed", "backend"}
@@ -227,7 +233,11 @@ def _thresholds_field(value: Any) -> Tuple[float, ...]:
 
 
 def build_request(wire: Dict) -> "api.EvalRequest":
-    """Turn an ``/eval`` wire body into an :class:`EvalRequest`."""
+    """Turn an ``/eval`` wire body into an :class:`EvalRequest`.
+
+    A Monte-Carlo body on a sampled backend is refused when its adder is
+    wider than the sampler draws (62 bits), before any worker runs it.
+    """
     _check_keys(wire, _EVAL_KEYS, "eval")
     if "adder" not in wire:
         raise ProtocolError("eval body needs an 'adder' reference")
@@ -246,9 +256,13 @@ def build_request(wire: Dict) -> "api.EvalRequest":
             kwargs["seed"] = (None if wire["seed"] is None
                               else _FIELDS["seed"](wire, "seed"))
     try:
-        return api.EvalRequest(**kwargs)
+        request = api.EvalRequest(**kwargs)
+        if mode == "monte_carlo" and request.backend in _SAMPLED_BACKENDS:
+            # Refuse here what the worker's sampler would refuse.
+            UniformOperands(request.width).check_int64_sums()
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
+    return request
 
 
 def eval_coalesce_key(request: "api.EvalRequest") -> Optional[str]:
@@ -288,10 +302,11 @@ def build_verify_options(wire: Dict) -> Tuple[Optional[List[str]], object]:
 
     Every request that could only verify nothing, or fail after some
     layers ran, is refused here: an empty ``adders`` list, named adders
-    none of which is defined at ``width``, ``layers`` that is not a
-    non-empty list of distinct layer names, an unknown ``backend``, and
-    a ``width``/``seed``/``samples`` outside its rule (a bool, a fraction,
-    a width above 62, a negative seed, a sample count below 1).
+    none of which is defined at ``width``, an adder named twice,
+    ``layers`` that is not a non-empty list of distinct layer names, an
+    unknown ``backend``, and a ``width``/``seed``/``samples`` outside its
+    rule (a bool, a fraction, a width above 62, a negative seed, a sample
+    count below 1).
     """
     from repro.verify import LAYERS, VerifyOptions, default_registry
 
@@ -299,9 +314,11 @@ def build_verify_options(wire: Dict) -> Tuple[Optional[List[str]], object]:
     adders = wire.get("adders")
     if adders is not None:
         if (not isinstance(adders, list) or not adders
-                or not all(isinstance(a, str) for a in adders)):
+                or not all(isinstance(a, str) for a in adders)
+                or len(set(adders)) != len(adders)):
             raise ProtocolError("'adders' must be a non-empty list of "
-                                "registry keys (omit it to verify them all)")
+                                "registry keys, each named once (omit it "
+                                "to verify them all)")
         registry = default_registry()
         unknown = sorted(set(adders) - set(registry))
         if unknown:

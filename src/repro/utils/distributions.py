@@ -72,7 +72,8 @@ class OperandDistribution(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(width={self.width})"
 
-    def _check_int64_sums(self) -> None:
+    def check_int64_sums(self) -> None:
+        """Refuse operands too wide for int64 sampling (the sums must fit)."""
         if self.width > INT64_OPERAND_BITS:
             raise ValueError(
                 f"{type(self).__name__} samples at most {INT64_OPERAND_BITS}"
@@ -88,7 +89,7 @@ class UniformOperands(OperandDistribution):
     """
 
     def sample(self, count: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_int64_sums()
+        self.check_int64_sums()
         high = 1 << self.width
         a = rng.integers(0, high, size=count, dtype=np.int64)
         b = rng.integers(0, high, size=count, dtype=np.int64)
@@ -169,7 +170,7 @@ class SparseOperands(OperandDistribution):
         self.one_density = one_density
 
     def sample(self, count: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_int64_sums()
+        self.check_int64_sums()
         nbytes = (self.width + 7) // 8
 
         def draw() -> np.ndarray:

@@ -42,7 +42,7 @@ from repro.metrics.confidence import wilson_interval
 from repro.rtl.compile import compile_netlist
 from repro.rtl.equivalence import check_equivalence
 from repro.rtl.netlist import Netlist
-from repro.rtl.sim import simulate_bus
+from repro.rtl.sim import simulate_bus, simulate_buses
 from repro.rtl.verilog import to_verilog
 from repro.rtl.verilog_parser import parse_verilog
 from repro.verify.report import Counterexample, LayerResult, LayerStatus
@@ -147,16 +147,17 @@ def check_behavioural(model: AdderModel, vectors: VectorSet,
         return LayerResult("behavioural", LayerStatus.SKIP,
                            message="adder has no gate-level netlist model")
 
-    stimulus = {"A": vectors.a, "B": vectors.b}
+    buses = ["S"]
+    if "ERR" in netlist.output_buses and _flags_source(model) is not None:
+        buses.append("ERR")
+    got = simulate_buses(netlist, {"A": vectors.a, "B": vectors.b}, buses)
     expected = np.asarray(model.add(vectors.a, vectors.b))
-    got = simulate_bus(netlist, stimulus, "S")
-    index = _first_mismatch(expected, got)
+    index = _first_mismatch(expected, got["S"])
     bus = "S"
-    if index is None and "ERR" in netlist.output_buses:
+    if index is None and "ERR" in got:
         flags = _flags_word(model, vectors.a, vectors.b)
         if flags is not None:
-            index = _first_mismatch(np.asarray(flags),
-                                    simulate_bus(netlist, stimulus, "ERR"))
+            index = _first_mismatch(np.asarray(flags), got["ERR"])
             bus = "ERR"
     if index is None:
         return LayerResult("behavioural", LayerStatus.PASS,
@@ -196,7 +197,8 @@ def check_compiled(model: AdderModel, vectors: VectorSet,
     """Layer: interpreted netlist simulation vs the compiled bit-sliced kernel.
 
     Exact bit-equality on *every* output bus between the gate-by-gate
-    interpreter (:func:`repro.rtl.sim.simulate_bus`) and the word-level
+    interpreter (:func:`repro.rtl.sim.simulate_buses`, one evaluation for
+    all buses) and the word-level
     level program of :mod:`repro.rtl.compile` over the shared vector
     set — exhaustive at the default verify width, so the kernel compiler
     is proven, not sampled, for every registry family.
@@ -208,11 +210,11 @@ def check_compiled(model: AdderModel, vectors: VectorSet,
     kernel = compile_netlist(netlist)
     stimulus = {"A": vectors.a, "B": vectors.b}
     outputs = kernel.run(stimulus)
+    interpreted = simulate_buses(netlist, stimulus)
     index = None
     bad_bus = ""
     for bus in sorted(netlist.output_buses):
-        index = _first_mismatch(simulate_bus(netlist, stimulus, bus),
-                                outputs[bus])
+        index = _first_mismatch(interpreted[bus], outputs[bus])
         if index is not None:
             bad_bus = bus
             break
@@ -287,11 +289,9 @@ def _roundtrip_predicate(netlist: Netlist, parsed: Netlist):
 
     def fails(a: int, b: int) -> bool:
         stimulus = {"A": a, "B": b}
-        return any(
-            int(simulate_bus(netlist, stimulus, bus)[()])
-            != int(simulate_bus(parsed, stimulus, bus)[()])
-            for bus in shared
-        )
+        left = simulate_buses(netlist, stimulus, shared)
+        right = simulate_buses(parsed, stimulus, shared)
+        return any(int(left[bus]) != int(right[bus]) for bus in shared)
 
     return fails
 

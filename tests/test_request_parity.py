@@ -65,6 +65,10 @@ REFUSALS = [
     (["verify", "--adder", "gear_r2p4", "--width", "6"], "verify",
      {"adders": ["gear_r2p4"], "width": 6},
      "no registered adder supports width 6"),
+    (["verify", "--adder", "rca", "--adder", "rca"], "verify",
+     {"adders": ["rca", "rca"]},
+     "'adders' must be a non-empty list of registry keys, each named once "
+     "(omit it to verify them all)"),
 ]
 
 

@@ -177,16 +177,38 @@ def test_bad_request_is_not_remembered(client):
         before["entries"], before["bytes"], before["hits"])
 
 
-def test_worker_400_is_not_remembered(client):
-    # The body parses on the event loop; the worker's sampler refuses
-    # 64-bit operands, which the daemon answers with 400.
-    wire = {"adder": {"family": "rca", "width": 64}, "samples": 200}
+def test_worker_400_is_not_remembered(client, monkeypatch):
+    # The body parses on the event loop; the worker refuses it with a
+    # ProtocolError, which the daemon answers with 400.
+    wire = dict(EVAL_WIRE, seed=44)
+
+    def refuse(body):
+        raise protocol.ProtocolError("forced worker refusal")
+
+    monkeypatch.setitem(pool_module._HANDLERS, "eval", refuse)
     computed = _counter(client, "serve.eval.computed")
+    before = client.stats()["server"]["memo"]
     for _ in range(2):
         with pytest.raises(ServeError) as excinfo:
             client.eval(wire)
         assert excinfo.value.status == 400
     assert _counter(client, "serve.eval.computed") == computed + 2
+    after = client.stats()["server"]["memo"]
+    assert (after["aliases"], after["hits"]) == (before["aliases"],
+                                                 before["hits"])
+
+
+def test_wide_sampled_eval_is_refused_before_the_pool(client):
+    wire = {"adder": {"family": "rca", "width": 64}, "samples": 200}
+    computed = _counter(client, "serve.eval.computed")
+    for backend in ("sampling", "compiled"):
+        with pytest.raises(ServeError) as excinfo:
+            client.eval(dict(wire, backend=backend))
+        assert excinfo.value.status == 400
+        assert "samples at most 62-bit operands" in excinfo.value.message
+    assert _counter(client, "serve.eval.computed") == computed
+    # auto answers analytically: the infinite-sample limit, zero samples.
+    assert client.eval(dict(wire, backend="auto"))["samples"] == 0
 
 
 def test_worker_failure_is_not_remembered(client, monkeypatch):
@@ -310,7 +332,7 @@ def test_differently_spelled_body_is_remembered_by_identity(daemon, client,
     ("eval", {"adder": "gear_r2p2", "samples": True}, 400),
     ("experiment", {"name": "table3", "samples": -7}, 400),
     ("eval", {"adder": {"family": "rca", "width": 64}, "samples": 200},
-     400),  # worker 400
+     400),  # sampled past 62 bits
 ])
 def test_never_answered_from_the_byte_index(client, endpoint, wire, status):
     before = client.stats()["server"]["memo"]

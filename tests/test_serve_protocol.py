@@ -10,11 +10,13 @@ answers it.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.engine import api, evaluate
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
+from repro.utils.distributions import INT64_OPERAND_BITS, UniformOperands
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,27 @@ def test_build_request_null_seed_and_integral_floats():
         {"adder": "gear_r2p2", "samples": 500.0, "seed": 6.0})
     assert (request.samples, request.seed) == (500, 6)
     assert type(request.seed) is int
+
+
+WIDE_SAMPLED = {"adder": {"family": "rca", "width": 64}, "samples": 200}
+
+
+@pytest.mark.parametrize("backend", [None, "sampling", "compiled"])
+def test_build_request_refuses_sampling_past_int64(backend):
+    wire = dict(WIDE_SAMPLED) if backend is None else dict(WIDE_SAMPLED,
+                                                           backend=backend)
+    with pytest.raises(ProtocolError) as refused:
+        protocol.build_request(wire)
+    with pytest.raises(ValueError) as sampler:
+        UniformOperands(64).sample(1, np.random.default_rng(0))
+    assert str(refused.value) == str(sampler.value)
+
+
+def test_build_request_keeps_wide_auto_and_the_widest_sampled_width():
+    assert protocol.build_request(
+        dict(WIDE_SAMPLED, backend="auto")).backend == "auto"
+    assert protocol.build_request(
+        {"adder": {"family": "rca", "width": INT64_OPERAND_BITS}}).width == 62
 
 
 def test_offline_payload_matches_engine(gear_wire={"adder": "gear_r2p2",

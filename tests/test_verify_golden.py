@@ -5,11 +5,13 @@ vector layers over the whole registry at N=8 — the bytes a served
 ``/verify`` returns for that body.  It was recorded before the scalar
 model path was compiled into a per-adder window table, so any change to
 a verdict, a vector count, a detail or a shrunk counterexample moves it.
+``VERILOG_GOLDEN`` pins the verilog layer the same way at two widths.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro.serve.protocol import canonical_bytes
@@ -23,12 +25,27 @@ from repro.verify import (
 
 GOLDEN = "a45fc591b117eff51546f55bce7ae32153a08142b18ea9137bfa5fba08e0ac36"
 
+# The verilog layer alone: N=8 is an exhaustive proof per adder, N=12 runs
+# check_equivalence's corner and random regime.  Recorded before the gate
+# interpreter moved to bit-packed lanes.
+VERILOG_GOLDEN = {
+    8: "c6a290ecddf3bdf76e44b23151f97f61d73700fcc65c0dd337edadd655ddac3d",
+    12: "8e5cb098ad1c9f90320cd3074ea63a3498256b6352eec2a4594a11a67bb815e5",
+}
+
 
 def test_verify_payload_bytes_are_pinned():
     payload = verify_payload(None, VerifyOptions(
         width=8, layers=("behavioural", "compiled", "vector")))
     assert payload["ok"] is True
     assert hashlib.sha256(canonical_bytes(payload)).hexdigest() == GOLDEN
+
+
+@pytest.mark.parametrize("width", sorted(VERILOG_GOLDEN))
+def test_verilog_layer_bytes_are_pinned(width):
+    payload = verify_payload(None, VerifyOptions(width=width, layers=("verilog",)))
+    assert payload["ok"] is True
+    assert hashlib.sha256(canonical_bytes(payload)).hexdigest() == VERILOG_GOLDEN[width]
 
 
 def test_vector_probes_are_counted():
